@@ -12,8 +12,8 @@ envelope.
 Modules
 -------
 ``matrixcore``
-    Real Jordan-form decompositions, block matrix exponentials, spectral
-    norms, and a Hurwitz convex-combination probe.
+    Real Jordan-form decompositions, block matrix exponentials, and
+    spectral norms.
 ``graph``
     Switching graphs, signals, admissibility, path decomposition into
     simple loops, and signal classes over dwell intervals.
@@ -76,8 +76,6 @@ from .matrixcore import (
     defective_block,
     exp_jordan,
     expm,
-    frobenius_norm,
-    hurwitz_convex_combination,
     real_block,
     real_jordan,
     normalize_columns,
@@ -97,6 +95,7 @@ from .graph import (
     periodic_signal,
     standard_decomposition,
     validate_signal,
+    walk_loop,
 )
 from .certify import (
     Certificate,
@@ -114,6 +113,7 @@ from .certify import (
     necessary_checks,
     partition_edges,
     stable_edge_lower_bound,
+    trace_flags,
     transition_matrix,
 )
 from .scaling import (

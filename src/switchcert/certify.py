@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from . import matrixcore as mc
@@ -270,12 +269,6 @@ class Certificate:
     contraction_k: float
     amplification_c: float
 
-    def condition_for(self, edge):
-        for cond in self.conditions:
-            if cond.edge == tuple(edge):
-                return cond
-        raise NotAnEdge(f"no condition stored for edge {tuple(edge)}")
-
     def intervals(self):
         return {cond.edge: cond.interval for cond in self.conditions}
 
@@ -353,9 +346,6 @@ def certify(system, etas, t_max=50.0, grid_points=2048, refine_tol=1e-9, shrink=
         k_value = max(k_value, sup)
         conditions.append(EdgeCondition(e, eta, norms[e], (lo, hi), part[e]))
 
-    g = nx.DiGraph()
-    g.add_nodes_from(system.graph.vertices())
-    g.add_edges_from(edges)
     interval_of = {c.edge: c.interval for c in conditions}
     dwell_sup = {}
     for s_vertex in system.graph.vertices():
@@ -375,8 +365,7 @@ def certify(system, etas, t_max=50.0, grid_points=2048, refine_tol=1e-9, shrink=
     c_value = 1.0
     for r_vertex in system.graph.vertices():
         p_inv_norm = mc.spectral_norm(system.decomposition(r_vertex).P_inv)
-        reachable = {r_vertex} | nx.descendants(g, r_vertex)
-        for s_vertex in reachable:
+        for s_vertex in system.graph.reachable(r_vertex):
             if s_vertex in dwell_sup:
                 c_value = max(c_value, dwell_sup[s_vertex] * p_inv_norm)
     return Certificate(tuple(conditions), k_value, c_value)
@@ -429,6 +418,26 @@ class NecessaryReport:
         return not self.singular_flags and not self.trace_flags
 
 
+def trace_flags(graph, matrices, loops=None, max_loops=10000):
+    """Planar trace test: simple loops whose subsystems all have trace >= 0.
+
+    No choice of bases or dwells certifies such a loop. Returns None when
+    the matrices are not 2x2 and the test does not apply; otherwise a tuple
+    of ``(loop, traces)`` pairs. ``loops`` defaults to every simple loop of
+    ``graph``.
+    """
+    if np.shape(matrices[0]) != (2, 2):
+        return None
+    if loops is None:
+        loops = enumerate_simple_loops(graph, max_loops)
+    flags = []
+    for loop in loops:
+        traces = tuple(float(np.trace(matrices[v - 1])) for v in loop[:-1])
+        if all(tr >= 0.0 for tr in traces):
+            flags.append((loop, traces))
+    return tuple(flags)
+
+
 def necessary_checks(system, max_loops=10000):
     part = partition_edges(system)
     singular = []
@@ -439,14 +448,8 @@ def necessary_checks(system, max_loops=10000):
         smin = mc.smallest_singular_value(mc.exp_jordan(dec.blocks, 1.0))
         if smin >= 1.0 - _PARTITION_TOL:
             singular.append((e, float(smin)))
-    trace_flags = []
-    trace_applicable = system.n == 2
-    if trace_applicable:
-        for loop in enumerate_simple_loops(system.graph, max_loops):
-            traces = tuple(float(np.trace(system.subsystem(v))) for v in loop[:-1])
-            if all(tr >= 0.0 for tr in traces):
-                trace_flags.append((loop, traces))
-    return NecessaryReport(tuple(singular), tuple(trace_flags), trace_applicable)
+    flags = trace_flags(system.graph, system.subsystems, max_loops=max_loops)
+    return NecessaryReport(tuple(singular), flags or (), flags is not None)
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,7 @@ from .certify import (
     loop_budgets,
     make_system,
     necessary_checks,
+    trace_flags,
     transition_matrix,
 )
 from .errors import (
@@ -57,9 +58,9 @@ from .graph import (
     SwitchGraph,
     SwitchingSignal,
     enumerate_simple_loops,
-    path_edges,
     standard_decomposition,
     validate_signal,
+    walk_loop,
 )
 
 EXIT_OK = 0
@@ -267,15 +268,6 @@ def document_issues(doc):
     )
 
 
-def load_document(path):
-    """Parse + strictly validate a document file (raises on any issue)."""
-    raw, _ = _load_json(path)
-    issues, document = document_issues(raw)
-    if issues or document is None:
-        raise DocumentInvalid("; ".join(issues) if issues else "invalid document")
-    return document
-
-
 def document_system(document):
     """Build the SwitchedSystem, eigendecomposing vertices without data."""
     return make_system(
@@ -349,15 +341,16 @@ def _file_digest(path):
 # command helpers
 
 
+def _trace_flags_payload(flags):
+    return [{"loop": list(loop), "traces": list(traces)} for loop, traces in flags]
+
+
 def _necessary_payload(report):
     return {
         "singularFlags": [
             {"edge": list(edge), "smin": val} for edge, val in report.singular_flags
         ],
-        "traceFlags": [
-            {"loop": list(loop), "traces": list(traces)}
-            for loop, traces in report.trace_flags
-        ],
+        "traceFlags": _trace_flags_payload(report.trace_flags),
         "traceApplicable": report.trace_applicable,
     }
 
@@ -370,6 +363,22 @@ def _condition_payload(cond):
         "interval": list(cond.interval),
         "partition": cond.partition,
     }
+
+
+def _scan_settings_error(args):
+    """Why ``--tmax``/``--grid`` cannot drive the dwell scan, or None."""
+    if not (math.isfinite(args.tmax) and args.tmax > 0):
+        return f"--tmax must be a positive number, got {args.tmax!r}"
+    if args.grid < 64:
+        return f"--grid must be at least 64, got {args.grid}"
+    return None
+
+
+def _parse_range(flag, text):
+    try:
+        return tuple(float(v) for v in text.split(","))
+    except ValueError as exc:
+        raise ValueError(f"bad {flag} {text!r}: {exc}") from None
 
 
 def _auto_etas(system, t_max, grid_points):
@@ -469,6 +478,10 @@ def cmd_certify(args):
     if loaded is None:
         return code
     document, digest = loaded
+    bad_settings = _scan_settings_error(args)
+    if bad_settings:
+        _emit("certify", "error", {"error": bad_settings}, digest, args.pretty)
+        return EXIT_INVALID
     try:
         system = document_system(document)
     except (NearDefective, SwitchCertError, ValueError) as exc:
@@ -482,7 +495,13 @@ def cmd_certify(args):
         try:
             for spec in args.eta:
                 key, _, value = spec.partition("=")
-                etas[_parse_edge_key(key)] = float(value)
+                eta = float(value)
+                edge = _parse_edge_key(key)
+                if not (math.isfinite(eta) and eta > 0):
+                    raise ValueError("dwell must be a positive finite number")
+                if not system.graph.has_edge(*edge):
+                    raise ValueError(f"({edge[0]}, {edge[1]}) is not an edge")
+                etas[edge] = eta
         except ValueError as exc:
             _emit("certify", "error", {"error": f"bad --eta {spec!r}: {exc}"}, digest, args.pretty)
             return EXIT_INVALID
@@ -619,9 +638,9 @@ def cmd_region(args):
     except (NotPlanar, NearDefective, SwitchCertError, ValueError) as exc:
         _emit("region", "error", {"error": str(exc)}, digest, args.pretty)
         return EXIT_INVALID
-    t_range = tuple(float(v) for v in args.t_range.split(","))
-    x_range = tuple(float(v) for v in args.x_range.split(","))
     try:
+        t_range = _parse_range("--t-range", args.t_range)
+        x_range = _parse_range("--x-range", args.x_range)
         grid = planar.region_scan(pair, t_range, x_range, args.resolution)
     except ValueError as exc:
         _emit("region", "error", {"error": str(exc)}, digest, args.pretty)
@@ -646,14 +665,14 @@ def cmd_region(args):
 
 
 def _simulate_signal(document, system, args):
-    """Resolve the driving signal from flags or the document."""
+    """Resolve the driving signal, plus any certificate its dwells came from."""
     graph = document.graph
     if args.times is None and args.switches is None:
         if document.signal is None:
             raise DocumentInvalid(
                 "no signal: supply --times, --switches, or a signal in the document"
             )
-        return document.signal
+        return document.signal, None
     loops = enumerate_simple_loops(graph)
     if len(loops) != 1:
         raise DocumentInvalid(
@@ -665,15 +684,10 @@ def _simulate_signal(document, system, args):
         dwells = [float(v) for v in args.times.split(",")]
         if any(d <= 0 for d in dwells):
             raise DocumentInvalid("--times dwells must be positive")
-        path = [loop[0]]
-        idx = 0
-        while len(path) < len(dwells) + 1:
-            if idx == len(loop) - 1:
-                idx = 0
-            path.append(loop[idx + 1])
-            idx += 1
-        return SwitchingSignal(tuple(path), tuple(np.cumsum(dwells)))
+        path = walk_loop(loop, len(dwells))
+        return SwitchingSignal(path, tuple(np.cumsum(dwells))), None
     intervals = dict(document.intervals)
+    certificate = None
     if not intervals:
         etas, infeasible = _auto_etas(system, args.tmax, args.grid)
         if infeasible:
@@ -684,7 +698,7 @@ def _simulate_signal(document, system, args):
         certificate = run_certify(system, etas, t_max=args.tmax, grid_points=args.grid)
         intervals = certificate.intervals()
     seed = args.seed if args.seed is not None else document.seed
-    return sim.random_signal(graph, loop, intervals, args.switches, seed)
+    return sim.random_signal(graph, loop, intervals, args.switches, seed), certificate
 
 
 def cmd_simulate(args):
@@ -692,10 +706,14 @@ def cmd_simulate(args):
     if loaded is None:
         return code
     document, digest = loaded
+    bad_settings = _scan_settings_error(args)
+    if bad_settings:
+        _emit("simulate", "error", {"error": bad_settings}, digest, args.pretty)
+        return EXIT_INVALID
     try:
         system = document_system(document)
         x0 = np.array([float(v) for v in args.x0.split(",")])
-        signal = _simulate_signal(document, system, args)
+        signal, certificate = _simulate_signal(document, system, args)
         trajectory = sim.propagate(
             system, signal, x0, samples_per_interval=args.samples, horizon=args.horizon
         )
@@ -704,14 +722,16 @@ def cmd_simulate(args):
         return EXIT_INVALID
 
     warnings = []
-    certificate = None
-    try:
-        etas, infeasible = _auto_etas(system, args.tmax, args.grid)
-        if infeasible:
-            raise ConditionViolated([(e, math.inf) for e in infeasible])
-        certificate = run_certify(system, etas, t_max=args.tmax, grid_points=args.grid)
-    except (ConditionViolated, SwitchCertError):
-        warnings.append("system is not certified; simulation is illustrative only")
+    if certificate is None:
+        try:
+            etas, infeasible = _auto_etas(system, args.tmax, args.grid)
+            if infeasible:
+                raise ConditionViolated([(e, math.inf) for e in infeasible])
+            certificate = run_certify(
+                system, etas, t_max=args.tmax, grid_points=args.grid
+            )
+        except (ConditionViolated, SwitchCertError):
+            warnings.append("system is not certified; simulation is illustrative only")
 
     norms = trajectory.norms()
     x0_norm = norms[0]
@@ -770,13 +790,7 @@ def cmd_loops(args):
         warnings.append(
             "graph is acyclic: no admissible signal can switch indefinitely"
         )
-    n = document.matrices[0].shape[0]
-    trace_flags = []
-    if n == 2:
-        for loop in loops:
-            traces = [float(np.trace(document.matrices[v - 1])) for v in loop[:-1]]
-            if all(tr >= 0.0 for tr in traces):
-                trace_flags.append({"loop": list(loop), "traces": traces})
+    flags = trace_flags(document.graph, document.matrices, loops)
     budgets = None
     if loops and document.intervals:
         try:
@@ -798,8 +812,8 @@ def cmd_loops(args):
             warnings.append(f"loop budgets unavailable: {exc}")
     payload = {
         "loops": [list(loop) for loop in loops],
-        "traceFlags": trace_flags,
-        "traceApplicable": n == 2,
+        "traceFlags": _trace_flags_payload(flags or ()),
+        "traceApplicable": flags is not None,
         "budgets": budgets,
         "warnings": warnings,
     }
@@ -836,11 +850,6 @@ def _build_parser():
         action="append",
         metavar="R,S=VALUE",
         help="dwell witness for one edge (repeat per edge)",
-    )
-    p.add_argument(
-        "--auto-intervals",
-        action="store_true",
-        help="pick witnesses from scanned feasible intervals (default when no --eta)",
     )
     p.add_argument("--tmax", type=float, default=50.0)
     p.add_argument("--grid", type=int, default=2048)

@@ -9,14 +9,15 @@ signal couples a path with strictly increasing absolute switching times
 The decomposition routine splits any finite path into simple loops plus an
 indecomposable remainder — the loop structure is what the stability
 analysis consumes — and `enumerate_simple_loops` lists every simple
-directed cycle of a graph in a canonical order.
+directed cycle of a graph in a canonical order, using Johnson's
+blocked-set search (D. B. Johnson, "Finding all the elementary circuits of
+a directed graph", SIAM J. Comput. 4(1), 1975).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from .errors import (
@@ -58,6 +59,13 @@ class SwitchGraph:
 
     def vertices(self):
         return tuple(range(1, self.vertex_count + 1))
+
+    def reachable(self, r):
+        """Vertices reachable from r along directed edges, r included."""
+        seen = [r]
+        for v in seen:  # breadth-first: the loop visits what it appends
+            seen += [s for _, s in self.out_edges(v) if s not in seen]
+        return frozenset(seen)
 
 
 @dataclass(frozen=True)
@@ -170,16 +178,42 @@ def enumerate_simple_loops(graph, max_loops=10000):
     """
     if graph.vertex_count > 20:
         raise ValueError("loop enumeration supports at most 20 vertices")
-    g = nx.DiGraph()
-    g.add_nodes_from(graph.vertices())
-    g.add_edges_from(graph.edges)
+    successors = {v: [s for _, s in graph.out_edges(v)] for v in graph.vertices()}
     loops = []
-    for cycle in nx.simple_cycles(g):
-        if len(loops) >= max_loops:
-            raise TooManyLoops(f"graph has more than {max_loops} simple loops")
-        pivot = cycle.index(min(cycle))
-        rotated = cycle[pivot:] + cycle[:pivot]
-        loops.append(tuple(rotated) + (rotated[0],))
+    for start in graph.vertices():
+        # Johnson's search for the loops whose smallest vertex is `start`:
+        # a vertex stays blocked until some loop through it closes, so each
+        # dead end is explored once per start vertex.
+        blocked = set()
+        blocked_by = {}
+
+        def unblock(v):
+            blocked.discard(v)
+            for u in blocked_by.pop(v, ()):
+                if u in blocked:
+                    unblock(u)
+
+        def circuit(v, path):
+            closed = False
+            blocked.add(v)
+            for w in successors[v]:
+                if w == start:
+                    if len(loops) >= max_loops:
+                        raise TooManyLoops(
+                            f"graph has more than {max_loops} simple loops"
+                        )
+                    loops.append(path + (start,))
+                    closed = True
+                elif w > start and w not in blocked:
+                    closed |= circuit(w, path + (w,))
+            if closed:
+                unblock(v)
+            else:
+                for w in successors[v]:
+                    blocked_by.setdefault(w, set()).add(v)
+            return closed
+
+        circuit(start, (start,))
     loops.sort()
     return tuple(loops)
 
@@ -222,6 +256,27 @@ def in_signal_class(signal, graph, intervals):
     return True
 
 
+def walk_loop(cycle, switch_count):
+    """Vertex path of ``switch_count`` switches along ``cycle``.
+
+    The walk starts at ``cycle[0]`` and wraps around when ``cycle`` closes
+    on itself; an open path can only be walked up to its last vertex.
+    """
+    cycle = tuple(int(v) for v in cycle)
+    if len(cycle) < 2:
+        raise NotALoop("cycle path needs at least one edge")
+    switch_count = int(switch_count)
+    if switch_count < 0:
+        raise ValueError("switch_count must be >= 0")
+    edge_count = len(cycle) - 1
+    if switch_count > edge_count and cycle[0] != cycle[-1]:
+        raise NotALoop(
+            "cycle path must return to its start to generate "
+            f"{switch_count} switches"
+        )
+    return (cycle[0],) + tuple(cycle[1 + n % edge_count] for n in range(switch_count))
+
+
 def periodic_signal(cycle, dwells, repetitions):
     """Signal that walks a closed cycle ``repetitions`` times.
 
@@ -242,6 +297,6 @@ def periodic_signal(cycle, dwells, repetitions):
     repetitions = int(repetitions)
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
-    path = list(cycle) + list(cycle[1:]) * (repetitions - 1)
+    path = walk_loop(cycle, len(dwells) * repetitions)
     times = np.cumsum(dwells * repetitions)
-    return SwitchingSignal(tuple(path), tuple(times))
+    return SwitchingSignal(path, tuple(times))

@@ -2,15 +2,14 @@
 
 This module owns the numeric conventions everything else builds on:
 
-* spectral / Frobenius norms and extreme singular values (exact closed forms
-  for n <= 2, LAPACK above that);
+* spectral norms and extreme singular values (exact closed forms for
+  n <= 2, LAPACK above that);
 * real spectral decompositions ``A = P J P^-1`` where ``J`` is block diagonal
   with 1x1 real-eigenvalue blocks, 2x2 rotation-scaling blocks for complex
   conjugate pairs, and (only when supplied by the caller) real Jordan blocks
   for defective eigenvalues;
 * analytic exponentials of the block structure, plus a general dense ``expm``
-  used as an independent cross-check;
-* a grid-plus-refinement search for Hurwitz convex combinations.
+  used as an independent cross-check.
 
 Matrices are plain numpy arrays throughout. All routines are direct dense
 methods and are capped at dimension ``MAX_DIM``.
@@ -18,13 +17,10 @@ methods and are capped at dimension ``MAX_DIM``.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.optimize import minimize
 
 from .errors import (
     DimensionMismatch,
@@ -54,10 +50,6 @@ def as_square_matrix(M, name="matrix"):
     if not np.all(np.isfinite(A)):
         raise ValueError(f"{name} contains non-finite entries")
     return A
-
-
-def frobenius_norm(M):
-    return float(np.linalg.norm(np.asarray(M, dtype=float)))
 
 
 def spectral_norm(M):
@@ -190,12 +182,21 @@ def _block_exp(b, t):
     return math.exp(b.lam * t) * U
 
 
+def _block_diag(mats):
+    out = np.zeros((sum(len(m) for m in mats),) * 2)
+    offset = 0
+    for m in mats:
+        out[offset : offset + len(m), offset : offset + len(m)] = m
+        offset += len(m)
+    return out
+
+
 def assemble_jordan(blocks):
     """Block-diagonal J matrix for a block list."""
     blocks = tuple(blocks)
     if not blocks:
         raise ValueError("need at least one block")
-    return scipy.linalg.block_diag(*[_block_matrix(b) for b in blocks])
+    return _block_diag([_block_matrix(b) for b in blocks])
 
 
 def exp_jordan(blocks, t):
@@ -208,11 +209,13 @@ def exp_jordan(blocks, t):
         raise ValueError("need at least one block")
     if all(b.kind == REAL for b in blocks):
         return np.diag(np.exp(np.array([b.lam for b in blocks]) * t))
-    return scipy.linalg.block_diag(*[_block_exp(b, t) for b in blocks])
+    return _block_diag([_block_exp(b, t) for b in blocks])
 
 
 def expm(A, t=1.0):
     """Dense exp(A t) via scaling-and-squaring; independent of exp_jordan."""
+    import scipy.linalg
+
     return scipy.linalg.expm(as_square_matrix(A) * float(t))
 
 
@@ -408,64 +411,3 @@ def normalize_columns(dec):
             cols /= math.exp(float(np.mean(np.log(norms))))
         offset += d
     return _assemble_decomposition(P, dec.blocks, dec.source)
-
-
-def _compositions(total, parts):
-    """Yield tuples of non-negative ints of length ``parts`` summing to total."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def hurwitz_convex_combination(mats, grid_resolution=200):
-    """Search for convex weights making the weighted sum Hurwitz.
-
-    Scans the weight simplex at ``grid_resolution`` subdivisions and returns
-    the first stable weight vector found; otherwise polishes the best grid
-    point with a derivative-free local step. Returns ``None`` when no stable
-    combination is found. Heuristic only: ``None`` is not a proof of
-    non-existence (though for planar positive-trace families it is conclusive).
-    """
-    mats = [as_square_matrix(m, f"matrix {i}") for i, m in enumerate(mats)]
-    k = len(mats)
-    if k < 2:
-        raise ValueError("need at least two matrices")
-    shape = mats[0].shape
-    for m in mats:
-        if m.shape != shape:
-            raise DimensionMismatch("matrices must share a common shape")
-    if grid_resolution < 1:
-        raise ValueError("grid_resolution must be >= 1")
-    stack = np.stack(mats)
-
-    def abscissa_at(weights):
-        return float(
-            np.linalg.eigvals(np.tensordot(weights, stack, axes=1)).real.max()
-        )
-
-    best_w, best_a = None, math.inf
-    for combo in _compositions(grid_resolution, k):
-        w = np.array(combo, dtype=float) / grid_resolution
-        a = abscissa_at(w)
-        if a < 0.0:
-            return w
-        if a < best_a:
-            best_a, best_w = a, w
-
-    def softmax(z):
-        z = z - z.max()
-        e = np.exp(z)
-        return e / e.sum()
-
-    res = minimize(
-        lambda z: abscissa_at(softmax(z)),
-        np.log(best_w + 1e-6),
-        method="Nelder-Mead",
-        options={"maxiter": 500, "xatol": 1e-10, "fatol": 1e-12},
-    )
-    if res.fun < 0.0:
-        return softmax(res.x)
-    return None

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import matrixcore as mc
 from .certify import SwitchedSystem
@@ -169,6 +168,8 @@ def search(system, config=None):
     the objective. Restarts stop early once one reaches the feasibility
     margin; the result is deterministic for a fixed seed.
     """
+    from scipy.optimize import minimize
+
     if config is None:
         config = SearchConfig()
     layout = _block_layout(system)

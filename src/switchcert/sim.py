@@ -21,12 +21,11 @@ from .errors import (
     EmptyInterval,
     InadmissibleSignal,
     MissingInterval,
-    NotALoop,
     NotAnEdge,
     TooFewSamples,
     ZeroState,
 )
-from .graph import SwitchingSignal, path_edges, validate_signal
+from .graph import SwitchingSignal, path_edges, validate_signal, walk_loop
 from .matrixcore import expm
 
 
@@ -138,26 +137,10 @@ def random_signal(graph, cycle_path, intervals, switch_count, seed):
     inside the corresponding edge's open interval. Deterministic per seed.
     """
     cycle_path = tuple(int(v) for v in cycle_path)
-    if len(cycle_path) < 2:
-        raise NotALoop("cycle path needs at least one edge")
     for r, s in path_edges(cycle_path):
         if not graph.has_edge(r, s):
             raise NotAnEdge(f"({r}, {s}) is not a graph edge")
-    switch_count = int(switch_count)
-    if switch_count < 0:
-        raise ValueError("switch_count must be >= 0")
-    path = [cycle_path[0]]
-    idx = 0
-    while len(path) < switch_count + 1:
-        if idx == len(cycle_path) - 1:
-            if cycle_path[0] != cycle_path[-1]:
-                raise NotALoop(
-                    "cycle path must return to its start to generate "
-                    f"{switch_count} switches"
-                )
-            idx = 0
-        path.append(cycle_path[idx + 1])
-        idx += 1
+    path = walk_loop(cycle_path, switch_count)
 
     rng = np.random.default_rng(seed)
     dwells = []
@@ -171,7 +154,7 @@ def random_signal(graph, cycle_path, intervals, switch_count, seed):
         while not lo < d < hi:
             d = rng.uniform(lo, hi)
         dwells.append(d)
-    return SwitchingSignal(tuple(path), tuple(np.cumsum(dwells)))
+    return SwitchingSignal(path, tuple(np.cumsum(dwells)))
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 The builders construct small switched systems with known structure; the
 oracles re-derive quantities through routes independent of the library
-(classical RK4 integration, brute-force cycle search, raw SVD calls) so
+(classical RK4 integration, brute-force cycle search, boolean
+transitive closure, raw SVD calls) so
 tests can compare implementation output against a second opinion.
 """
 
@@ -218,6 +219,20 @@ def brute_force_simple_loops(vertex_count, edges):
     for start in range(1, vertex_count + 1):
         walk(start, start, [start])
     return sorted(found)
+
+
+def reachability_closure(vertex_count, edges):
+    """Reflexive transitive closure as a boolean matrix (Warshall).
+
+    Entry [r - 1, s - 1] is True iff s can be reached from r along zero or
+    more directed edges.
+    """
+    reach = np.eye(vertex_count, dtype=bool)
+    for r, s in edges:
+        reach[r - 1, s - 1] = True
+    for via in range(vertex_count):
+        reach |= reach[:, [via]] & reach[[via], :]
+    return reach
 
 
 def svd_spectral_norm(M):

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import switchcert
+import switchcert.cli as cli
 from switchcert import certify, feasible_interval, make_system
 from switchcert.cli import main
 
@@ -422,6 +426,30 @@ def test_simulate_random_dwells_deterministic(capsys, prescribed_doc):
     assert payload["switches"] == 6
 
 
+def test_simulate_random_dwells_certify_once(capsys, monkeypatch, tmp_path,
+                                             prescribed_ring):
+    calls = {"certify": 0, "feasible_interval": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(cli, "run_certify", counted("certify", cli.run_certify))
+    monkeypatch.setattr(
+        cli, "feasible_interval", counted("feasible_interval", cli.feasible_interval)
+    )
+    doc = system_doc(prescribed_ring["system"], include_decompositions=True)
+    argv = ["simulate", write_doc(tmp_path, doc), "--x0", "1,1", "--switches", "6"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert report_of(out)["payload"]["envelopeSatisfied"] is True
+    # one certificate serves both the dwell draw and the envelope check
+    assert calls == {"certify": 1, "feasible_interval": 2}
+
+
 def test_simulate_uncertified_system_warns(capsys, saddle_doc):
     code, out, _ = run(
         capsys, ["simulate", saddle_doc, "--x0", "1,0", "--times", "1,1,1,1"]
@@ -472,3 +500,54 @@ def test_loops_acyclic_graph_warns(capsys, acyclic_doc):
     payload = report_of(out)["payload"]
     assert payload["loops"] == []
     assert any("acyclic" in w for w in payload["warnings"])
+
+
+# ---------------------------------------------------------------------------
+# invalid flag values and startup
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["region", "{symmetric}", "--t-range", "abc"], "--t-range"),
+        (["certify", "{prescribed}", "--eta", "1,2=-1", "--eta", "2,1=1.75"], "--eta"),
+        (["certify", "{prescribed}", "--eta", "1,2=nan", "--eta", "2,1=1.75"], "--eta"),
+        (["certify", "{prescribed}", "--eta", "1,2=inf", "--eta", "2,1=1.75"], "--eta"),
+        (
+            ["certify", "{prescribed}", "--eta", "1,2=2.5", "--eta", "2,1=1.75",
+             "--eta", "2,2=1.0"],
+            "--eta",
+        ),
+        (["certify", "{prescribed}", "--grid", "10"], "--grid"),
+        (["simulate", "{prescribed}", "--x0", "1,1", "--grid", "10"], "--grid"),
+        (["simulate", "{prescribed}", "--x0", "1,1", "--tmax", "0"], "--tmax"),
+        (["simulate", "{prescribed}", "--x0", "1,1", "--tmax", "-5"], "--tmax"),
+    ],
+)
+def test_bad_flag_values_are_invalid_input(capsys, prescribed_doc, symmetric_doc,
+                                           argv, flag):
+    docs = {"prescribed": prescribed_doc, "symmetric": symmetric_doc}
+    code, out, err = run(capsys, [a.format(**docs) for a in argv])
+    assert code == 2
+    assert err == ""
+    report = report_of(out)
+    assert report["status"] == "error"
+    assert flag in report["payload"]["error"]
+
+
+def test_cli_import_loads_numpy_only():
+    probe = (
+        "import sys, switchcert.cli; "
+        "print([m for m in ('networkx', 'scipy.optimize', 'scipy.linalg') "
+        "if m in sys.modules])"
+    )
+    src = os.path.dirname(os.path.dirname(switchcert.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert result.stdout.strip() == "[]"

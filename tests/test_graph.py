@@ -18,6 +18,7 @@ from switchcert import (
     periodic_signal,
     standard_decomposition,
     validate_signal,
+    walk_loop,
 )
 
 import helpers
@@ -100,6 +101,18 @@ def test_in_signal_class_interior_only():
         in_signal_class(inside, g, {(1, 2): (0.5, 2.0)})
 
 
+def test_walk_loop_wraps_closed_cycles_only():
+    assert walk_loop((1, 2, 3, 1), 5) == (1, 2, 3, 1, 2, 3)
+    assert walk_loop((1, 2, 3), 2) == (1, 2, 3)
+    assert walk_loop((1, 2, 1), 0) == (1,)
+    with pytest.raises(NotALoop):
+        walk_loop((1, 2, 3), 3)
+    with pytest.raises(NotALoop):
+        walk_loop((1,), 1)
+    with pytest.raises(ValueError):
+        walk_loop((1, 2, 1), -1)
+
+
 def test_periodic_signal_unrolls_cycle():
     sig = periodic_signal((1, 2, 1), (1.0, 0.5), 3)
     assert sig.path == (1, 2, 1, 2, 1, 2, 1)
@@ -161,6 +174,9 @@ def test_enumerate_loops_matches_brute_force(rng):
         assert enumerate_simple_loops(g) == tuple(
             helpers.brute_force_simple_loops(k, chosen)
         )
+        closure = helpers.reachability_closure(k, chosen)
+        for r in g.vertices():
+            assert g.reachable(r) == {s for s in g.vertices() if closure[r - 1, s - 1]}
 
 
 def test_enumerate_loops_three_ring():
@@ -171,6 +187,9 @@ def test_enumerate_loops_three_ring():
 def test_enumerate_loops_acyclic_graph():
     g = SwitchGraph(3, [(1, 2), (2, 3), (1, 3)])
     assert enumerate_simple_loops(g) == ()
+    # complete DAG at the vertex cap: every walk is a dead end
+    dag = SwitchGraph(20, [(r, s) for r in range(1, 21) for s in range(r + 1, 21)])
+    assert enumerate_simple_loops(dag) == ()
 
 
 def test_enumerate_loops_limit():

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -22,7 +20,6 @@ from switchcert import (
     defective_block,
     exp_jordan,
     expm,
-    hurwitz_convex_combination,
     normalize_columns,
     real_block,
     real_jordan,
@@ -303,28 +300,3 @@ def _block_spans(blocks):
     for block in blocks:
         yield start, block
         start += block.dim
-
-
-# ---------------------------------------------------------------------------
-# Hurwitz convex combinations
-
-
-def test_hurwitz_combination_found_for_compatible_diagonals():
-    # alpha*delta > beta*gamma on the saddle pattern -> a mix is Hurwitz
-    a1 = np.diag([-1.0, 1.0])
-    a2 = np.diag([1.0, -2.0])
-    weights = hurwitz_convex_combination([a1, a2])
-    assert weights is not None
-    mix = weights[0] * a1 + weights[1] * a2
-    assert spectral_abscissa(mix) < 0
-    assert math.isclose(sum(weights), 1.0, rel_tol=1e-9)
-
-
-def test_hurwitz_combination_absent_for_positive_trace_pair():
-    _, mats = helpers.positive_trace_ring()
-    assert hurwitz_convex_combination(mats) is None
-
-
-def test_hurwitz_combination_needs_at_least_two():
-    with pytest.raises(ValueError):
-        hurwitz_convex_combination([np.diag([-1.0, -2.0])])
