@@ -7,18 +7,23 @@ factor ``P_s^-1 P_r exp(J_r t)`` to the chained solution operator, and the
 system is exponentially stable over a signal class as soon as every such
 factor has spectral norm < 1 on that edge's dwell interval.
 
-This module evaluates those norms, scans for feasible dwell intervals,
+This module evaluates those norms, finds feasible dwell intervals,
 classifies edges by whether the norm can be beaten with arbitrarily small
 dwells, runs cheap necessary-condition pre-checks, derives per-loop time
 budgets for the slow (norm-shrinking) edges, and assembles certificates
 with explicit decay constants K (per-switch contraction) and C (transient
 amplification).
+
+Every dwell scan goes through one profile ``t -> norm(X exp(J t))``. Without
+a defective block ``exp(J t)`` is ``diag(exp(lam t))`` times a rotation, so
+the profile is log-convex: its feasible set is one interval and its
+supremum over an interval is an endpoint value. Defective sources are sampled.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -107,16 +112,40 @@ def transition_matrix(system, r, s):
     return system.decomposition(s).P_inv @ system.decomposition(r).P
 
 
-def edge_norm(system, edge, t):
-    """Spectral norm of ``P_s^-1 P_r exp(J_r t)`` for a dwell of length t."""
+class _Profile:
+    """``t -> norm(X exp(J t))`` (t >= 0); ``convex`` if no block is defective.
+
+    ``exp(lam_max t)`` is factored out and multiplied onto the norm, so a
+    norm beyond the float range is inf, not an overflow error or a NaN.
+    """
+
+    def __init__(self, X, blocks):
+        self.X = X
+        self.lam = max(b.lam for b in blocks)
+        self.blocks = tuple(replace(b, lam=b.lam - self.lam) for b in blocks)
+        self.convex = all(b.kind != mc.DEFECTIVE for b in blocks)
+
+    def __call__(self, t):
+        try:
+            scale = math.exp(self.lam * t)
+        except OverflowError:
+            return math.inf
+        return mc.spectral_norm(self.X @ mc.exp_jordan(self.blocks, t)) * scale
+
+
+def _edge_profile(system, edge):
     r, s = edge
     if not system.graph.has_edge(r, s):
         raise NotAnEdge(f"({r}, {s}) is not an edge of the switching graph")
-    t = float(t)
-    if not t > 0:
+    return _Profile(transition_matrix(system, r, s), system.decomposition(r).blocks)
+
+
+def edge_norm(system, edge, t):
+    """Spectral norm of ``P_s^-1 P_r exp(J_r t)`` for a dwell of length t."""
+    profile = _edge_profile(system, edge)
+    if not float(t) > 0:
         raise ValueError("dwell time must be positive")
-    dec = system.decomposition(r)
-    return mc.spectral_norm(transition_matrix(system, r, s) @ mc.exp_jordan(dec.blocks, t))
+    return profile(float(t))
 
 
 def partition_edges(system):
@@ -133,13 +162,13 @@ def partition_edges(system):
 
 
 def _sup_scan(fn, lo, hi, samples):
-    """Max of a continuous scalar function over [lo, hi]: grid + polish."""
+    """(max, argmax) of a continuous scalar function over [lo, hi]: grid + polish."""
     if hi <= lo:
-        return float(fn(hi))
+        return float(fn(hi)), hi
     ts = np.linspace(lo, hi, samples)
-    vals = np.array([fn(t) for t in ts])
+    vals = [fn(t) for t in ts]
     i = int(np.argmax(vals))
-    best = float(vals[i])
+    best, arg = float(vals[i]), float(ts[i])
     a, b = ts[max(i - 1, 0)], ts[min(i + 1, samples - 1)]
     for _ in range(80):
         if b - a < 1e-12:
@@ -147,12 +176,19 @@ def _sup_scan(fn, lo, hi, samples):
         m1 = a + (b - a) / 3.0
         m2 = b - (b - a) / 3.0
         f1, f2 = fn(m1), fn(m2)
-        best = max(best, float(f1), float(f2))
+        best, arg = max((best, arg), (float(f1), m1), (float(f2), m2))
         if f1 < f2:
             a = m1
         else:
             b = m2
-    return best
+    return best, arg
+
+
+def _sup(profile, lo, hi, samples):
+    """Supremum over [lo, hi]: exact if log-convex, else sampled + polished."""
+    if profile.convex:
+        return max(profile(lo), profile(hi))
+    return _sup_scan(profile, lo, hi, samples)[0]
 
 
 def _bisect_crossing(fn_feasible, t_out, t_in, tol):
@@ -168,57 +204,60 @@ def _bisect_crossing(fn_feasible, t_out, t_in, tol):
     return 0.5 * (t_out + t_in)
 
 
+def _component_around(profile, eta, t_max, step, refine_tol):
+    """Maximal interval around a feasible dwell ``eta`` where the profile is < 1.
+
+    Log-convex: one bisection on (0, eta] and one on [eta, t_max]. Otherwise
+    each side first walks out from eta in ``step`` increments.
+    """
+
+    def feasible(t):
+        return profile(t) < 1.0
+
+    lo_in = hi_in = eta
+    lo_out, hi_out = 0.0, t_max
+    if not profile.convex:
+        while lo_in - step > 0 and feasible(lo_in - step):
+            lo_in -= step
+        while hi_in + step <= t_max and feasible(hi_in + step):
+            hi_in += step
+        lo_out, hi_out = max(lo_in - step, 0.0), min(hi_in + step, t_max)
+    if lo_out == 0.0 and feasible(0.0):
+        lo = 0.0
+    else:
+        lo = _bisect_crossing(feasible, lo_out, lo_in, refine_tol)
+    if hi_out == t_max and feasible(t_max):
+        hi = t_max
+    else:
+        hi = _bisect_crossing(feasible, hi_out, hi_in, refine_tol)
+    return lo, hi
+
+
 def feasible_interval(system, edge, t_max=50.0, grid_points=2048, refine_tol=1e-9):
     """Maximal open sub-intervals of (0, t_max] where the edge norm is < 1.
 
-    Scans a uniform grid and refines every feasibility crossing by
-    bisection. The left endpoint is reported as 0 when the norm is already
-    below 1 in the small-dwell limit (E2 edges). An empty list means no
-    feasible dwell was found up to ``t_max`` at this grid resolution.
+    The left endpoint is reported as 0 when the norm is already below 1 in
+    the small-dwell limit (E2 edges). Without a defective source block there
+    is at most one interval, grown by bisection from the norm's minimiser,
+    and ``grid_points`` is unused. A defective source is scanned on a grid
+    of ``grid_points`` steps; there an empty list means no feasible dwell
+    was found up to ``t_max`` at this grid resolution.
     """
     if not t_max > 0:
         raise ValueError("t_max must be positive")
     grid_points = int(grid_points)
     if grid_points < 64:
         raise ValueError("grid_points must be at least 64")
-    r, s = edge
-    if not system.graph.has_edge(r, s):
-        raise NotAnEdge(f"({r}, {s}) is not an edge of the switching graph")
-
-    def feasible(t):
-        return edge_norm(system, edge, t) < 1.0
-
-    limit_feasible = mc.spectral_norm(transition_matrix(system, r, s)) < 1.0
-    ts = np.linspace(t_max / grid_points, t_max, grid_points)
-    mask = np.array([feasible(t) for t in ts])
-    intervals = []
-    idx = 0
-    while idx < grid_points:
-        if not mask[idx]:
-            idx += 1
-            continue
-        start = idx
-        while idx + 1 < grid_points and mask[idx + 1]:
-            idx += 1
-        end = idx
-        if start == 0:
-            lo = 0.0 if limit_feasible else _bisect_crossing(feasible, 0.0, ts[0], refine_tol)
-        else:
-            lo = _bisect_crossing(feasible, ts[start - 1], ts[start], refine_tol)
-        if end == grid_points - 1:
-            hi = t_max
-        else:
-            hi = _bisect_crossing(feasible, ts[end + 1], ts[end], refine_tol)
-        intervals.append((lo, hi))
-        idx += 1
-    if limit_feasible and not mask[0]:
-        # The grid can miss a thin feasible window hugging t = 0 on edges
-        # whose norm is already < 1 in the zero-dwell limit.
-        probe = ts[0] * 1e-6
-        if feasible(probe):
-            hi = _bisect_crossing(feasible, ts[0], probe, refine_tol)
-            intervals.insert(0, (0.0, hi))
-    return intervals
+    profile = _edge_profile(system, edge)
+    if profile.convex:
+        neg_min, seed = _sup_scan(lambda t: -profile(t), 0.0, t_max, 64)
+        seeds = [seed] if -neg_min < 1.0 else []
+    else:
+        ts = np.linspace(0.0, t_max, grid_points + 1)
+        mask = [profile(t) < 1.0 for t in ts]
+        seeds = [t for i, t in enumerate(ts) if mask[i] and (i == 0 or not mask[i - 1])]
+    step = t_max / grid_points
+    return [_component_around(profile, float(t), t_max, step, refine_tol) for t in seeds]
 
 
 def analytic_e2_right_endpoint(system, edge):
@@ -273,32 +312,6 @@ class Certificate:
         return {cond.edge: cond.interval for cond in self.conditions}
 
 
-def _component_around(system, edge, eta, t_max, grid_points, refine_tol):
-    """Maximal feasible interval containing a known-feasible dwell."""
-
-    def feasible(t):
-        return edge_norm(system, edge, t) < 1.0
-
-    step = t_max / grid_points
-    r, s = edge
-    limit_feasible = mc.spectral_norm(transition_matrix(system, r, s)) < 1.0
-    t = eta
-    while t - step > 0 and feasible(t - step):
-        t -= step
-    if t - step <= 0:
-        lo = 0.0 if limit_feasible else _bisect_crossing(feasible, 0.0, t, refine_tol)
-    else:
-        lo = _bisect_crossing(feasible, t - step, t, refine_tol)
-    t = eta
-    while t + step <= t_max and feasible(t + step):
-        t += step
-    if t + step > t_max:
-        hi = t_max if feasible(t_max) else _bisect_crossing(feasible, t_max, t, refine_tol)
-    else:
-        hi = _bisect_crossing(feasible, t + step, t, refine_tol)
-    return lo, hi
-
-
 def certify(system, etas, t_max=50.0, grid_points=2048, refine_tol=1e-9, shrink=0.005):
     """Check the per-edge norm conditions and assemble a certificate.
 
@@ -311,36 +324,34 @@ def certify(system, etas, t_max=50.0, grid_points=2048, refine_tol=1e-9, shrink=
     The amplification constant C is the largest value of
     ``norm(P_s exp(J_s t)) * norm(P_r^-1)`` over vertex pairs (r, s) with s
     reachable from r (or equal to it) and dwells t in the stored intervals
-    of s's outgoing edges, clamped to at least 1.
+    of s's outgoing edges, clamped to at least 1. K and C are exact
+    endpoint suprema, except over sources with a defective block, where
+    they hold at the grid resolution set by ``grid_points``.
     """
     edges = system.graph.edges
     missing = [e for e in edges if e not in etas]
     if missing:
         raise MissingInterval(f"no dwell witness for edges {missing}")
     part = partition_edges(system)
-    failures = []
-    norms = {}
-    for e in edges:
-        norms[e] = edge_norm(system, e, etas[e])
-        if not norms[e] < 1.0:
-            failures.append((e, norms[e]))
+    norms = {e: edge_norm(system, e, etas[e]) for e in edges}
+    failures = [(e, norm) for e, norm in norms.items() if not norm < 1.0]
     if failures:
         raise ConditionViolated(failures)
 
     samples = max(128, grid_points // 4)
+    step = t_max / grid_points
     conditions = []
     k_value = 0.0
     for e in edges:
         eta = float(etas[e])
-        lo, hi = _component_around(system, e, eta, t_max, grid_points, refine_tol)
+        profile = _edge_profile(system, e)
+        lo, hi = _component_around(profile, eta, t_max, step, refine_tol)
         delta = shrink * (hi - lo)
         if lo > 0.0:
             lo = min(lo + delta, 0.5 * (lo + eta))
         if hi < t_max:
             hi = max(hi - delta, 0.5 * (hi + eta))
-        sup = _sup_scan(
-            lambda t, e=e: edge_norm(system, e, t), max(lo, 1e-12), hi, samples
-        )
+        sup = _sup(profile, lo, hi, samples)
         if not sup < 1.0:
             raise ConditionViolated([(e, sup)])
         k_value = max(k_value, sup)
@@ -350,18 +361,10 @@ def certify(system, etas, t_max=50.0, grid_points=2048, refine_tol=1e-9, shrink=
     dwell_sup = {}
     for s_vertex in system.graph.vertices():
         dec = system.decomposition(s_vertex)
-        best = None
+        profile = _Profile(dec.P, dec.blocks)
         for e in system.graph.out_edges(s_vertex):
-            lo, hi = interval_of[e]
-            val = _sup_scan(
-                lambda t: mc.spectral_norm(dec.P @ mc.exp_jordan(dec.blocks, t)),
-                max(lo, 1e-12),
-                hi,
-                samples,
-            )
-            best = val if best is None else max(best, val)
-        if best is not None:
-            dwell_sup[s_vertex] = best
+            val = _sup(profile, *interval_of[e], samples)
+            dwell_sup[s_vertex] = max(dwell_sup.get(s_vertex, 0.0), val)
     c_value = 1.0
     for r_vertex in system.graph.vertices():
         p_inv_norm = mc.spectral_norm(system.decomposition(r_vertex).P_inv)
@@ -480,10 +483,10 @@ def loop_budgets(system, intervals, max_loops=10000):
 
     ``intervals`` maps each E1 edge that appears on some loop to the dwell
     interval over which its norm supremum is taken (typically a
-    certificate's stored intervals).
+    certificate's stored intervals). N is exact, except over sources with
+    a defective block, where the supremum is sampled at 512 points.
     """
     part = partition_edges(system)
-    samples = 512
     budgets = []
     for loop in enumerate_simple_loops(system.graph, max_loops):
         m_sum = 0.0
@@ -499,13 +502,7 @@ def loop_budgets(system, intervals, max_loops=10000):
             else:
                 if e not in intervals:
                     raise MissingInterval(f"no dwell interval for E1 edge {e}")
-                lo, hi = intervals[e]
-                sup = _sup_scan(
-                    lambda t, e=e: edge_norm(system, e, t),
-                    max(lo, 1e-12),
-                    hi,
-                    samples,
-                )
+                sup = _sup(_edge_profile(system, e), *intervals[e], 512)
                 n_sum += math.log(sup)
         if lam is None:
             budgets.append(
@@ -528,30 +525,23 @@ def stable_edge_lower_bound(system, edge, lambda_star):
     explicit bound ``-ln(beta * transition norm) / lambda_star`` with
     ``beta = sup_t norm(exp(J_r t)) * exp(-lambda_star t)``: every dwell
     above it satisfies the edge norm condition. A non-positive return
-    value means no minimum dwell is needed.
+    value means no minimum dwell is needed. Beta is exactly 1 without a
+    defective block; with one it is sampled at 4096 points.
     """
-    r, s = edge
-    if not system.graph.has_edge(r, s):
-        raise NotAnEdge(f"({r}, {s}) is not an edge of the switching graph")
-    dec = system.decomposition(r)
+    transition_norm = _edge_profile(system, edge)(0.0)
+    dec = system.decomposition(edge[0])
     abscissa = dec.spectral_abscissa
     if abscissa >= 0:
         raise NotHurwitz(
-            f"subsystem {r} has spectral abscissa {abscissa:.6g} >= 0"
+            f"subsystem {edge[0]} has spectral abscissa {abscissa:.6g} >= 0"
         )
     lambda_star = float(lambda_star)
     if not abscissa < lambda_star < 0:
         raise BadLambdaStar(
             f"lambda_star must lie in ({abscissa:.6g}, 0), got {lambda_star!r}"
         )
-    gap = lambda_star - abscissa
-    horizon = (mc.MAX_DIM + 8.0) / gap
-    beta = _sup_scan(
-        lambda t: mc.spectral_norm(mc.exp_jordan(dec.blocks, t))
-        * math.exp(-lambda_star * t),
-        0.0,
-        horizon,
-        4096,
-    )
-    norm = mc.spectral_norm(transition_matrix(system, r, s))
-    return -math.log(beta * norm) / lambda_star
+    horizon = (mc.MAX_DIM + 8.0) / (lambda_star - abscissa)
+    # norm(exp((J - lambda_star) t)) = norm(exp(J t)) * exp(-lambda_star t)
+    shifted = [replace(b, lam=b.lam - lambda_star) for b in dec.blocks]
+    beta = _sup(_Profile(np.eye(dec.n), shifted), 0.0, horizon, 4096)
+    return -math.log(beta * transition_norm) / lambda_star

@@ -68,6 +68,10 @@ EXIT_INVALID = 2
 EXIT_PARSE = 3
 EXIT_VIOLATED = 4
 EXIT_INFEASIBLE = 5
+_STATUS_EXIT = {
+    "ok": EXIT_OK, "error": EXIT_INVALID, "violated": EXIT_VIOLATED,
+    "infeasible": EXIT_INFEASIBLE,
+}
 
 _BLOCK_KINDS = {mc.REAL, mc.COMPLEX_PAIR, mc.DEFECTIVE}
 
@@ -311,6 +315,7 @@ def _jsonable(value):
 
 
 def _emit(command, status, payload, digest, pretty):
+    """Print the JSON report; returns the exit code of ``status``."""
     report = {
         "command": command,
         "status": status,
@@ -323,6 +328,7 @@ def _emit(command, status, payload, digest, pretty):
     else:
         text = json.dumps(report, sort_keys=True, separators=(",", ":"))
     sys.stdout.write(text + "\n")
+    return _STATUS_EXIT[status]
 
 
 def _file_digest(path):
@@ -365,12 +371,22 @@ def _condition_payload(cond):
     }
 
 
-def _scan_settings_error(args):
-    """Why ``--tmax``/``--grid`` cannot drive the dwell scan, or None."""
-    if not (math.isfinite(args.tmax) and args.tmax > 0):
-        return f"--tmax must be a positive number, got {args.tmax!r}"
-    if args.grid < 64:
-        return f"--grid must be at least 64, got {args.grid}"
+#: Numeric flags: (attribute, flag, test of a usable value, what it must be).
+_FLAG_RULES = (
+    ("tmax", "--tmax", lambda v: math.isfinite(v) and v > 0, "a positive number"),
+    ("grid", "--grid", lambda v: v >= 64, "at least 64"),
+    ("horizon", "--horizon", lambda v: v is None or math.isfinite(v), "a finite number"),
+    ("restarts", "--restarts", lambda v: v >= 1, "at least 1"),
+    ("max_iterations", "--max-iterations", lambda v: v >= 1, "at least 1"),
+    ("margin", "--margin", lambda v: math.isfinite(v) and v > 0, "a positive number"),
+)
+
+
+def _flag_error(args):
+    """Why a numeric flag of this command has an unusable value, or None."""
+    for attr, flag, usable, want in _FLAG_RULES:
+        if hasattr(args, attr) and not usable(getattr(args, attr)):
+            return f"{flag} must be {want}, got {getattr(args, attr)!r}"
     return None
 
 
@@ -454,12 +470,11 @@ def cmd_validate(args):
             }
         )
     status = "ok" if not issues else "error"
-    _emit("validate", status, payload, _digest(raw), args.pretty)
-    return EXIT_OK if not issues else EXIT_INVALID
+    return _emit("validate", status, payload, _digest(raw), args.pretty)
 
 
 def _load_or_report(command, args):
-    """Shared strict-load preamble; returns (document, digest) or an exit code."""
+    """Strict load, then numeric flags; returns (document, digest) or an exit code."""
     try:
         raw, _ = _load_json(args.file)
     except ParseError as exc:
@@ -468,8 +483,10 @@ def _load_or_report(command, args):
     digest = _digest(raw)
     issues, document = document_issues(raw)
     if issues or document is None:
-        _emit(command, "error", {"issues": list(issues)}, digest, args.pretty)
-        return None, EXIT_INVALID
+        return None, _emit(command, "error", {"issues": list(issues)}, digest, args.pretty)
+    bad_flag = _flag_error(args)
+    if bad_flag:
+        return None, _emit(command, "error", {"error": bad_flag}, digest, args.pretty)
     return (document, digest), None
 
 
@@ -478,15 +495,10 @@ def cmd_certify(args):
     if loaded is None:
         return code
     document, digest = loaded
-    bad_settings = _scan_settings_error(args)
-    if bad_settings:
-        _emit("certify", "error", {"error": bad_settings}, digest, args.pretty)
-        return EXIT_INVALID
     try:
         system = document_system(document)
     except (NearDefective, SwitchCertError, ValueError) as exc:
-        _emit("certify", "error", {"error": str(exc)}, digest, args.pretty)
-        return EXIT_INVALID
+        return _emit("certify", "error", {"error": str(exc)}, digest, args.pretty)
 
     necessary = _necessary_payload(necessary_checks(system))
     warnings = []
@@ -503,18 +515,17 @@ def cmd_certify(args):
                     raise ValueError(f"({edge[0]}, {edge[1]}) is not an edge")
                 etas[edge] = eta
         except ValueError as exc:
-            _emit("certify", "error", {"error": f"bad --eta {spec!r}: {exc}"}, digest, args.pretty)
-            return EXIT_INVALID
+            error = {"error": f"bad --eta {spec!r}: {exc}"}
+            return _emit("certify", "error", error, digest, args.pretty)
         missing = [e for e in system.graph.edges if e not in etas]
         if missing:
-            _emit(
+            return _emit(
                 "certify",
                 "error",
                 {"error": f"--eta missing for edges {[list(e) for e in missing]}"},
                 digest,
                 args.pretty,
             )
-            return EXIT_INVALID
     else:
         etas, infeasible = _auto_etas(system, args.tmax, args.grid)
         if infeasible:
@@ -524,8 +535,7 @@ def cmd_certify(args):
                 "warnings": warnings,
                 "detail": f"no feasible dwell interval found up to t_max={args.tmax}",
             }
-            _emit("certify", "violated", payload, digest, args.pretty)
-            return EXIT_VIOLATED
+            return _emit("certify", "violated", payload, digest, args.pretty)
 
     try:
         certificate = run_certify(
@@ -539,8 +549,7 @@ def cmd_certify(args):
             "necessary": necessary,
             "warnings": warnings,
         }
-        _emit("certify", "violated", payload, digest, args.pretty)
-        return EXIT_VIOLATED
+        return _emit("certify", "violated", payload, digest, args.pretty)
     payload = {
         "edges": [_condition_payload(c) for c in certificate.conditions],
         "contractionK": certificate.contraction_k,
@@ -548,8 +557,7 @@ def cmd_certify(args):
         "necessary": necessary,
         "warnings": warnings,
     }
-    _emit("certify", "ok", payload, digest, args.pretty)
-    return EXIT_OK
+    return _emit("certify", "ok", payload, digest, args.pretty)
 
 
 def cmd_search(args):
@@ -560,8 +568,7 @@ def cmd_search(args):
     try:
         system = document_system(document)
     except (NearDefective, SwitchCertError, ValueError) as exc:
-        _emit("search", "error", {"error": str(exc)}, digest, args.pretty)
-        return EXIT_INVALID
+        return _emit("search", "error", {"error": str(exc)}, digest, args.pretty)
     normalized = scaling.normalized_system(system)
     seed = args.seed if args.seed is not None else document.seed
     config = scaling.SearchConfig(
@@ -594,14 +601,12 @@ def cmd_search(args):
                 _decomposition_json(d) for d in folded.decompositions
             ],
         }
-        _emit("search", "ok", payload, digest, args.pretty)
-        return EXIT_OK
+        return _emit("search", "ok", payload, digest, args.pretty)
     payload["note"] = (
         "no feasible rescaling found within the search budget; this is not "
         "a proof that none exists"
     )
-    _emit("search", "infeasible", payload, digest, args.pretty)
-    return EXIT_INFEASIBLE
+    return _emit("search", "infeasible", payload, digest, args.pretty)
 
 
 def cmd_decompose(args):
@@ -623,8 +628,7 @@ def cmd_decompose(args):
         "loops": [list(loop) for loop in result.loops],
         "remainder": list(result.remainder),
     }
-    _emit("decompose", "ok", payload, _digest({"path": list(path)}), args.pretty)
-    return EXIT_OK
+    return _emit("decompose", "ok", payload, _digest({"path": list(path)}), args.pretty)
 
 
 def cmd_region(args):
@@ -636,15 +640,13 @@ def cmd_region(args):
         system = document_system(document)
         pair = _planar_pair_from_system(system)
     except (NotPlanar, NearDefective, SwitchCertError, ValueError) as exc:
-        _emit("region", "error", {"error": str(exc)}, digest, args.pretty)
-        return EXIT_INVALID
+        return _emit("region", "error", {"error": str(exc)}, digest, args.pretty)
     try:
         t_range = _parse_range("--t-range", args.t_range)
         x_range = _parse_range("--x-range", args.x_range)
         grid = planar.region_scan(pair, t_range, x_range, args.resolution)
     except ValueError as exc:
-        _emit("region", "error", {"error": str(exc)}, digest, args.pretty)
-        return EXIT_INVALID
+        return _emit("region", "error", {"error": str(exc)}, digest, args.pretty)
     if args.out:
         _write_text(args.out, grid.to_csv())
     covered = grid.covered_t()
@@ -660,8 +662,7 @@ def cmd_region(args):
         },
         "out": args.out,
     }
-    _emit("region", "ok", payload, digest, args.pretty)
-    return EXIT_OK
+    return _emit("region", "ok", payload, digest, args.pretty)
 
 
 def _simulate_signal(document, system, args):
@@ -706,10 +707,6 @@ def cmd_simulate(args):
     if loaded is None:
         return code
     document, digest = loaded
-    bad_settings = _scan_settings_error(args)
-    if bad_settings:
-        _emit("simulate", "error", {"error": bad_settings}, digest, args.pretty)
-        return EXIT_INVALID
     try:
         system = document_system(document)
         x0 = np.array([float(v) for v in args.x0.split(",")])
@@ -718,8 +715,7 @@ def cmd_simulate(args):
             system, signal, x0, samples_per_interval=args.samples, horizon=args.horizon
         )
     except (DocumentInvalid, InadmissibleSignal, SwitchCertError, ValueError) as exc:
-        _emit("simulate", "error", {"error": str(exc)}, digest, args.pretty)
-        return EXIT_INVALID
+        return _emit("simulate", "error", {"error": str(exc)}, digest, args.pretty)
 
     warnings = []
     if certificate is None:
@@ -771,8 +767,7 @@ def cmd_simulate(args):
         "out": args.out,
         "warnings": warnings,
     }
-    _emit("simulate", "ok", payload, digest, args.pretty)
-    return EXIT_OK
+    return _emit("simulate", "ok", payload, digest, args.pretty)
 
 
 def cmd_loops(args):
@@ -783,8 +778,7 @@ def cmd_loops(args):
     try:
         loops = enumerate_simple_loops(document.graph)
     except TooManyLoops as exc:
-        _emit("loops", "error", {"error": str(exc)}, digest, args.pretty)
-        return EXIT_INVALID
+        return _emit("loops", "error", {"error": str(exc)}, digest, args.pretty)
     warnings = []
     if not loops:
         warnings.append(
@@ -817,8 +811,7 @@ def cmd_loops(args):
         "budgets": budgets,
         "warnings": warnings,
     }
-    _emit("loops", "ok", payload, digest, args.pretty)
-    return EXIT_OK
+    return _emit("loops", "ok", payload, digest, args.pretty)
 
 
 # ---------------------------------------------------------------------------
@@ -852,7 +845,9 @@ def _build_parser():
         help="dwell witness for one edge (repeat per edge)",
     )
     p.add_argument("--tmax", type=float, default=50.0)
-    p.add_argument("--grid", type=int, default=2048)
+    p.add_argument(
+        "--grid", type=int, default=2048, help="scan grid steps (defective sources only)"
+    )
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("search", parents=[common], help="search for diagonal rescalings")
@@ -884,7 +879,9 @@ def _build_parser():
     p.add_argument("--samples", type=int, default=16)
     p.add_argument("--horizon", type=float, default=None)
     p.add_argument("--tmax", type=float, default=50.0)
-    p.add_argument("--grid", type=int, default=2048)
+    p.add_argument(
+        "--grid", type=int, default=2048, help="scan grid steps (defective sources only)"
+    )
     p.add_argument("--out", default=None, help="write the trajectory CSV here")
     p.set_defaults(func=cmd_simulate)
 

@@ -72,6 +72,12 @@ def spectral_norm(M):
         f2 = float(B[0, 0] ** 2 + B[0, 1] ** 2 + B[1, 0] ** 2 + B[1, 1] ** 2)
         det = float(B[0, 0] * B[1, 1] - B[0, 1] * B[1, 0])
         disc = max((0.5 * f2) ** 2 - det * det, 0.0)
+        if disc < 1e-8 * (0.5 * f2) ** 2:
+            # Close singular values cancel in the difference of squares; use
+            # f2 - 2|det| = (b00 -+ b11)^2 + (b01 +- b10)^2 (sign of det).
+            sg = 1.0 if det >= 0.0 else -1.0
+            gap = float((B[0, 0] - sg * B[1, 1]) ** 2 + (B[0, 1] + sg * B[1, 0]) ** 2)
+            disc = 0.25 * gap * (f2 + 2.0 * abs(det))
         return scale * math.sqrt(0.5 * f2 + math.sqrt(disc))
     return float(np.linalg.svd(A, compute_uv=False)[0])
 

@@ -16,7 +16,6 @@ form.
 
 from __future__ import annotations
 
-import dataclasses
 import io
 import math
 from dataclasses import dataclass
@@ -81,6 +80,37 @@ class PlanarPair:
         object.__setattr__(self, "a", a)
 
 
+def _td(pair, t0, s0, p, q, r, s):
+    """(T1, D1, T2, D2) at dwells (t0, s0), scalings (p, q, r, s); inf on overflow."""
+    a11, a12 = pair.a[0, 0], pair.a[0, 1]
+    a21, a22 = pair.a[1, 0], pair.a[1, 1]
+    det = a11 * a22 - a12 * a21
+    with np.errstate(over="ignore"):
+        t1 = np.exp(-2.0 * pair.alpha1 * t0) * (
+            a11**2 * p**2 / r**2 + a21**2 * p**2 / s**2
+        ) + np.exp(2.0 * pair.alpha2 * t0) * (
+            a12**2 * q**2 / r**2 + a22**2 * q**2 / s**2
+        )
+        d1 = (det * p * q / (r * s)) ** 2 * np.exp(
+            2.0 * (pair.alpha2 - pair.alpha1) * t0
+        )
+        t2 = (
+            np.exp(-2.0 * pair.beta1 * s0)
+            * (a22**2 * r**2 / p**2 + a21**2 * r**2 / q**2)
+            + np.exp(2.0 * pair.beta2 * s0)
+            * (a12**2 * s**2 / p**2 + a11**2 * s**2 / q**2)
+        ) / det**2
+        d2 = (r * s / (p * q * det)) ** 2 * np.exp(
+            2.0 * (pair.beta2 - pair.beta1) * s0
+        )
+    return t1, d1, t2, d2
+
+
+def _contracts(t, d):
+    """The 2x2 spectral-norm test ``norm < 1`` from T and D (elementwise)."""
+    return (t < 1.0 + d) & (d < 1.0)
+
+
 def td_values(pair, t0, s0):
     """(T1, D1, T2, D2) for dwell t0 on the first edge and s0 on the second.
 
@@ -90,34 +120,13 @@ def td_values(pair, t0, s0):
     """
     if not (t0 > 0 and s0 > 0):
         raise ValueError("dwell times must be positive")
-    a11, a12 = pair.a[0, 0], pair.a[0, 1]
-    a21, a22 = pair.a[1, 0], pair.a[1, 1]
-    det = a11 * a22 - a12 * a21
-    p, q, r, s = pair.p, pair.q, pair.r, pair.s
-    t1 = math.exp(-2.0 * pair.alpha1 * t0) * (
-        a11**2 * p**2 / r**2 + a21**2 * p**2 / s**2
-    ) + math.exp(2.0 * pair.alpha2 * t0) * (
-        a12**2 * q**2 / r**2 + a22**2 * q**2 / s**2
-    )
-    d1 = (det * p * q / (r * s)) ** 2 * math.exp(
-        2.0 * (pair.alpha2 - pair.alpha1) * t0
-    )
-    t2 = (
-        math.exp(-2.0 * pair.beta1 * s0)
-        * (a22**2 * r**2 / p**2 + a21**2 * r**2 / q**2)
-        + math.exp(2.0 * pair.beta2 * s0)
-        * (a12**2 * s**2 / p**2 + a11**2 * s**2 / q**2)
-    ) / det**2
-    d2 = (r * s / (p * q * det)) ** 2 * math.exp(
-        2.0 * (pair.beta2 - pair.beta1) * s0
-    )
-    return t1, d1, t2, d2
+    return tuple(map(float, _td(pair, t0, s0, pair.p, pair.q, pair.r, pair.s)))
 
 
 def planar_feasible_at(pair, t0, s0):
     """True iff both rescaled edge norms are < 1 at dwells (t0, s0)."""
     t1, d1, t2, d2 = td_values(pair, t0, s0)
-    return t1 < 1.0 + d1 and d1 < 1.0 and t2 < 1.0 + d2 and d2 < 1.0
+    return _contracts(t1, d1) and _contracts(t2, d2)
 
 
 def frobenius_sufficient_at(pair, t0, s0):
@@ -181,14 +190,9 @@ def region_scan(pair, t_range, x_range, resolution=256):
         raise ValueError("x_range must satisfy 0 < lo < hi")
     ts = t_lo + (t_hi - t_lo) * (np.arange(1, resolution + 1) / resolution)
     xs = np.geomspace(x_lo, x_hi, resolution)
-    edge12 = np.zeros((resolution, resolution), dtype=bool)
-    edge21 = np.zeros((resolution, resolution), dtype=bool)
-    for j, x in enumerate(xs):
-        scaled = dataclasses.replace(pair, p=float(x), q=1.0, r=float(x), s=1.0)
-        for i, t in enumerate(ts):
-            t1, d1, t2, d2 = td_values(scaled, t, t)
-            edge12[i, j] = t1 < 1.0 + d1 and d1 < 1.0
-            edge21[i, j] = t2 < 1.0 + d2 and d2 < 1.0
+    t, x = ts[:, None], xs[None, :]
+    t1, d1, t2, d2 = _td(pair, t, t, x, 1.0, x, 1.0)
+    edge12, edge21 = _contracts(t1, d1), _contracts(t2, d2)
     return RegionGrid(ts, xs, edge12, edge21)
 
 

@@ -74,7 +74,7 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.margin <= 0:
+        if not self.margin > 0:
             raise ValueError("margin must be positive")
         if not 0 < self.eta_range[0] < self.eta_range[1]:
             raise ValueError("eta_range must be a nondegenerate positive interval")

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.linalg
 
+from switchcert import matrixcore
 from switchcert import (
     BadLambdaStar,
     ConditionViolated,
@@ -18,9 +20,12 @@ from switchcert import (
     SwitchingSignal,
     SwitchGraph,
     analytic_e2_right_endpoint,
+    assemble_jordan,
     certify,
+    complex_block,
     decay_envelope,
     decomposition_from_parts,
+    defective_block,
     edge_norm,
     enumerate_simple_loops,
     feasible_interval,
@@ -398,3 +403,163 @@ def test_stable_edge_lower_bound():
 def test_stable_edge_lower_bound_requires_hurwitz(prescribed_ring):
     with pytest.raises(NotHurwitz):
         stable_edge_lower_bound(prescribed_ring["system"], (1, 2), -0.5)
+
+
+# ---------------------------------------------------------------------------
+# exact edge geometry (sources without defective blocks)
+
+
+def _random_blocks(rng, n):
+    """Real and complex-pair blocks spanning dimension n."""
+    blocks = []
+    while sum(b.dim for b in blocks) < n:
+        lam = float(rng.uniform(-2.0, 1.0))
+        if n - sum(b.dim for b in blocks) >= 2 and rng.random() < 0.5:
+            blocks.append(complex_block(lam, float(rng.uniform(0.2, 3.0))))
+        else:
+            blocks.append(real_block(lam))
+    return blocks
+
+
+def _ring_system(blocks_per_vertex, rng):
+    """Two-vertex ring from the given blocks and random invertible bases.
+
+    Each basis gets a random overall scale, so transition norms fall on
+    both sides of 1 and feasible windows open and close inside (0, t_max).
+    """
+    n = sum(b.dim for b in blocks_per_vertex[0])
+    matrices, decs = [], []
+    for blocks in blocks_per_vertex:
+        p = helpers.random_invertible(rng, n, min_smin=0.2) * 10.0 ** rng.uniform(-0.5, 0.5)
+        a = p @ assemble_jordan(blocks) @ np.linalg.inv(p)
+        matrices.append(a)
+        decs.append(decomposition_from_parts(p, blocks, a))
+    return make_system(SwitchGraph(2, [(1, 2), (2, 1)]), matrices, decs)
+
+
+def _dense_edge_norms(system, edge, ts):
+    """Oracle edge norms: dense expm of the subsystem plus a raw SVD."""
+    r, s = edge
+    p_r = system.decomposition(r).P
+    p_s_inv = np.linalg.inv(system.decomposition(s).P)
+    a = system.subsystem(r)
+    return np.array(
+        [helpers.svd_spectral_norm(p_s_inv @ scipy.linalg.expm(a * t) @ p_r) for t in ts]
+    )
+
+
+def _dense_amplification(system, intervals, ts_per_edge=400):
+    """Oracle C: max of norm(expm(A_s t) P_s) norm(P_r^-1) over the class, >= 1."""
+    worst = 1.0
+    for r in system.graph.vertices():
+        p_r_inv = helpers.svd_spectral_norm(system.decomposition(r).P_inv)
+        for s in system.graph.reachable(r):
+            p_s = system.decomposition(s).P
+            for edge in system.graph.out_edges(s):
+                lo, hi = intervals[edge]
+                for t in np.linspace(lo, hi, ts_per_edge)[1:-1]:
+                    val = helpers.svd_spectral_norm(
+                        scipy.linalg.expm(system.subsystem(s) * t) @ p_s
+                    )
+                    worst = max(worst, val * p_r_inv)
+    return worst
+
+
+def test_feasible_interval_is_one_exact_component_on_random_edges():
+    rng = np.random.default_rng(20261018)
+    certified = 0
+    crossings = {"lo": 0, "hi": 0}
+    for trial in range(24):
+        n = 2 + trial % 3
+        system = _ring_system([_random_blocks(rng, n), _random_blocks(rng, n)], rng)
+        etas = {}
+        for edge in system.graph.edges:
+            comps = feasible_interval(system, edge, t_max=20.0)
+            assert len(comps) <= 1
+            if not comps:
+                dense = _dense_edge_norms(system, edge, np.linspace(0.01, 20.0, 400))
+                assert dense.min() > 1.0 - 1e-9
+                continue
+            (lo, hi), = comps
+            assert 0.0 <= lo < hi <= 20.0
+            # the oracle changes sign across each endpoint that is a crossing
+            inside = _dense_edge_norms(system, edge, np.linspace(lo, hi, 66)[1:-1])
+            assert inside.max() < 1.0
+            if lo > 0.0:
+                assert _dense_edge_norms(system, edge, [lo - 1e-6])[0] > 1.0
+                crossings["lo"] += 1
+            if hi < 20.0:
+                assert _dense_edge_norms(system, edge, [hi + 1e-6])[0] > 1.0
+                crossings["hi"] += 1
+            etas[edge] = 0.5 * (lo + hi)
+        if len(etas) < 2:
+            continue
+        cert = certify(system, etas, t_max=20.0)
+        certified += 1
+        intervals = cert.intervals()
+        for edge, (lo, hi) in intervals.items():
+            dense = _dense_edge_norms(system, edge, np.linspace(lo, hi, 400)[1:-1])
+            assert cert.contraction_k >= dense.max() * (1.0 - 1e-12)
+        c_dense = _dense_amplification(system, intervals)
+        assert cert.amplification_c >= c_dense * (1.0 - 1e-12)
+    assert certified >= 3 and min(crossings.values()) >= 3
+
+
+def test_defective_source_through_feasible_interval_and_certify():
+    # vertex 1 carries a defective block: its edge norm need not be
+    # log-convex, so the dwell scan and the suprema fall back to the grid
+    blocks = [[defective_block(-1.0, 2)], [real_block(-0.5), real_block(-3.0)]]
+    system = _ring_system(blocks, np.random.default_rng(7))
+    etas = {}
+    for edge in system.graph.edges:
+        comps = feasible_interval(system, edge)
+        assert comps
+        for lo, hi in comps:
+            inside = _dense_edge_norms(system, edge, np.linspace(lo, hi, 66)[1:-1])
+            assert inside.max() < 1.0
+            if lo > 0.0:
+                assert _dense_edge_norms(system, edge, [lo - 1e-6])[0] > 1.0
+            assert hi == 50.0 or _dense_edge_norms(system, edge, [hi + 1e-6])[0] > 1.0
+        lo, hi = max(comps, key=lambda c: c[1] - c[0])
+        etas[edge] = 0.5 * (lo + hi)
+    cert = certify(system, etas)
+    assert cert.contraction_k < 1.0
+    for edge, (lo, hi) in cert.intervals().items():
+        dense = _dense_edge_norms(system, edge, np.linspace(lo, hi, 400)[1:-1])
+        assert cert.contraction_k >= dense.max() * (1.0 - 1e-9)
+    assert cert.amplification_c >= _dense_amplification(system, cert.intervals()) * (1.0 - 1e-9)
+
+
+def test_certify_evaluates_few_norms(monkeypatch, prescribed_ring):
+    calls = [0]
+    norm = matrixcore.spectral_norm
+
+    def counted(M):
+        calls[0] += 1
+        return norm(M)
+
+    monkeypatch.setattr(matrixcore, "spectral_norm", counted)
+    certify(prescribed_ring["system"], {(1, 2): 2.5, (2, 1): 1.75})
+    assert 0 < calls[0] <= 300
+
+
+def test_stable_edge_lower_bound_beta_is_one():
+    # without a defective block norm(exp(J t)) exp(-lambda_star t) peaks at t = 0
+    g = SwitchGraph(2, [(1, 2), (2, 1)])
+    a1 = np.diag([-2.0, -1.0])
+    a2 = np.array([[-1.0, 0.8], [0.3, -2.0]])
+    system = make_system(g, [a1, a2])
+    trans = spectral_norm(transition_matrix(system, 1, 2))
+    assert stable_edge_lower_bound(system, (1, 2), -0.5) == -math.log(trans) / -0.5
+
+
+def test_edge_norm_overflow_is_infinite():
+    g = SwitchGraph(2, [(1, 2), (2, 1)])
+    a1 = np.array([[20.0, 1.0], [-1.0, 20.0]])
+    a2 = np.diag([-1.0, -2.0])
+    system = make_system(g, [a1, a2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert edge_norm(system, (1, 2), 50.0) == math.inf
+        assert feasible_interval(system, (1, 2)) == []
+        assert edge_norm(system, (2, 1), 50.0) < 1e-10

@@ -467,6 +467,31 @@ def test_simulate_requires_some_signal(capsys, saddle_doc):
 
 
 # ---------------------------------------------------------------------------
+# overflow at large growth rate times dwell
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "first",
+    [
+        [[20.0, 1.0], [-1.0, 20.0]],  # complex pair 20 +- i
+        [[20.0, 0.0], [0.0, -1.0]],  # real eigenvalue 20
+        [[20.0, 1.0, 0.0], [-1.0, 20.0, 0.0], [0.0, 0.0, -1.0]],  # n = 3
+    ],
+)
+def test_certify_overflowing_edge_norm_is_infeasible(capsys, tmp_path, first):
+    # exp(20 t) leaves the float range long before t_max = 50
+    n = len(first)
+    second = np.diag(-1.0 - np.arange(n)).tolist()
+    doc = {"schema_version": 1, "matrices": [first, second], "edges": [[1, 2], [2, 1]]}
+    code, out, err = run(capsys, ["certify", write_doc(tmp_path, doc)])
+    assert code == 4
+    assert err == ""
+    payload = report_of(out)["payload"]
+    assert [1, 2] in payload["infeasibleEdges"]
+
+
+# ---------------------------------------------------------------------------
 # loops
 
 
@@ -522,6 +547,12 @@ def test_loops_acyclic_graph_warns(capsys, acyclic_doc):
         (["simulate", "{prescribed}", "--x0", "1,1", "--grid", "10"], "--grid"),
         (["simulate", "{prescribed}", "--x0", "1,1", "--tmax", "0"], "--tmax"),
         (["simulate", "{prescribed}", "--x0", "1,1", "--tmax", "-5"], "--tmax"),
+        (["simulate", "{prescribed}", "--x0", "1,1", "--horizon", "nan"], "--horizon"),
+        (["simulate", "{prescribed}", "--x0", "1,1", "--horizon", "inf"], "--horizon"),
+        (["search", "{prescribed}", "--restarts", "0"], "--restarts"),
+        (["search", "{prescribed}", "--max-iterations", "0"], "--max-iterations"),
+        (["search", "{prescribed}", "--margin", "-1"], "--margin"),
+        (["search", "{prescribed}", "--margin", "nan"], "--margin"),
     ],
 )
 def test_bad_flag_values_are_invalid_input(capsys, prescribed_doc, symmetric_doc,

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -54,6 +56,16 @@ def test_smallest_singular_matches_svd_oracle(rng):
             rtol=1e-9,
             atol=1e-12,
         )
+
+
+def test_spectral_norm_close_singular_values(rng):
+    # Nearly equal singular values cancel in the 2x2 closed form's
+    # discriminant; the result must still match the SVD closely.
+    for k in range(200):
+        gap = 10.0 ** (-14.0 + 12.0 * k / 199)
+        m = helpers.random_orthogonal(rng, 2) @ np.diag([1.0, math.exp(-gap)])
+        m *= 10.0 ** float(rng.uniform(-3, 3))
+        npt.assert_allclose(spectral_norm(m), helpers.svd_spectral_norm(m), rtol=1e-11)
 
 
 def test_spectral_norm_huge_and_tiny_entries_no_overflow():
