@@ -75,7 +75,6 @@ from .matrixcore import (
     decomposition_from_parts,
     defective_block,
     exp_jordan,
-    expm,
     real_block,
     real_jordan,
     normalize_columns,

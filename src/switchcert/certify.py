@@ -115,8 +115,10 @@ def transition_matrix(system, r, s):
 class _Profile:
     """``t -> norm(X exp(J t))`` (t >= 0); ``convex`` if no block is defective.
 
-    ``exp(lam_max t)`` is factored out and multiplied onto the norm, so a
-    norm beyond the float range is inf, not an overflow error or a NaN.
+    This is the one evaluation of a mode exponential's norm. ``exp(lam_max
+    t)`` is factored out of ``exp(J t)``, so the remaining factor cannot
+    overflow: the norm is inf past the float range and :meth:`log` is
+    finite for finite input, never an overflow error or a NaN.
     """
 
     def __init__(self, X, blocks):
@@ -125,12 +127,21 @@ class _Profile:
         self.blocks = tuple(replace(b, lam=b.lam - self.lam) for b in blocks)
         self.convex = all(b.kind != mc.DEFECTIVE for b in blocks)
 
+    def _shifted(self, t, X):
+        return mc.spectral_norm(X @ mc.exp_jordan(self.blocks, t))
+
     def __call__(self, t):
         try:
             scale = math.exp(self.lam * t)
         except OverflowError:
             return math.inf
-        return mc.spectral_norm(self.X @ mc.exp_jordan(self.blocks, t)) * scale
+        return self._shifted(t, self.X) * scale
+
+    def log(self, t, X):
+        """``log norm(X exp(J t))`` for ``X``, e.g. the profile's own ``X`` rescaled."""
+        norm = self._shifted(t, X)
+        # Only an X that underflowed to zero gives a zero norm.
+        return self.lam * t + math.log(norm) if norm > 0.0 else -math.inf
 
 
 def _edge_profile(system, edge):
@@ -441,14 +452,28 @@ def trace_flags(graph, matrices, loops=None, max_loops=10000):
     return tuple(flags)
 
 
+def _exp_smin(block):
+    """Smallest singular value of ``exp(J)`` for one block; inf past the float range.
+
+    Real and complex-pair blocks give ``exp(lam)``; a defective block gives
+    ``exp(lam)`` times that of its polynomial part.
+    """
+    try:
+        scale = math.exp(block.lam)
+    except OverflowError:
+        return math.inf
+    if block.kind != mc.DEFECTIVE:
+        return scale
+    return scale * mc.smallest_singular_value(mc.exp_jordan([replace(block, lam=0.0)], 1.0))
+
+
 def necessary_checks(system, max_loops=10000):
     part = partition_edges(system)
     singular = []
     for e, tag in part.items():
         if tag != E1:
             continue
-        dec = system.decomposition(e[0])
-        smin = mc.smallest_singular_value(mc.exp_jordan(dec.blocks, 1.0))
+        smin = min(_exp_smin(b) for b in system.decomposition(e[0]).blocks)
         if smin >= 1.0 - _PARTITION_TOL:
             singular.append((e, float(smin)))
     flags = trace_flags(system.graph, system.subsystems, max_loops=max_loops)

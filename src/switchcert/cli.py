@@ -430,16 +430,18 @@ def _planar_pair_from_system(system):
     expected = {(1, 2), (2, 1)}
     if system.graph.vertex_count != 2 or set(system.graph.edges) != expected:
         raise NotPlanar("region scan needs the two-vertex ring (1<->2)")
-    specs = []
+    specs, order = [], []
     for vertex in (1, 2):
         blocks = system.decomposition(vertex).blocks
         if any(b.kind != mc.REAL for b in blocks):
             raise NotPlanar(f"subsystem {vertex} has a non-real spectrum")
+        order.append(np.argsort([b.lam for b in blocks], kind="stable"))
         lam = sorted(b.lam for b in blocks)
         if not lam[0] < 0:
             raise NotPlanar(f"subsystem {vertex} has no stable direction")
         specs.append((-lam[0], lam[1]))
-    a = transition_matrix(system, 1, 2)
+    # PlanarPair expects each basis ordered (stable, unstable).
+    a = transition_matrix(system, 1, 2)[np.ix_(order[1], order[0])]
     (alpha1, alpha2), (beta1, beta2) = specs
     return planar.PlanarPair(alpha1, alpha2, beta1, beta2, a)
 

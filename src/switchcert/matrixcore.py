@@ -8,8 +8,9 @@ This module owns the numeric conventions everything else builds on:
   with 1x1 real-eigenvalue blocks, 2x2 rotation-scaling blocks for complex
   conjugate pairs, and (only when supplied by the caller) real Jordan blocks
   for defective eigenvalues;
-* analytic exponentials of the block structure, plus a general dense ``expm``
-  used as an independent cross-check.
+* analytic exponentials of the block structure, from which every mode
+  exponential in the package is taken (there is no dense ``expm``; the
+  tests use scipy's as an independent oracle).
 
 Matrices are plain numpy arrays throughout. All routines are direct dense
 methods and are capped at dimension ``MAX_DIM``.
@@ -216,13 +217,6 @@ def exp_jordan(blocks, t):
     if all(b.kind == REAL for b in blocks):
         return np.diag(np.exp(np.array([b.lam for b in blocks]) * t))
     return _block_diag([_block_exp(b, t) for b in blocks])
-
-
-def expm(A, t=1.0):
-    """Dense exp(A t) via scaling-and-squaring; independent of exp_jordan."""
-    import scipy.linalg
-
-    return scipy.linalg.expm(as_square_matrix(A) * float(t))
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matrixcore as mc
-from .certify import SwitchedSystem
+from .certify import SwitchedSystem, _edge_profile
 from .errors import DimensionMismatch, InfeasibleAssignment, MissingInterval
 
 
@@ -112,50 +112,60 @@ def scaled_objective(system, assignment):
         raise DimensionMismatch(f"need one diagonal per vertex ({k})")
     if any(len(d) != n for d in assignment.log_diagonals):
         raise DimensionMismatch(f"diagonals must have length {n}")
+    for edge in system.graph.edges:
+        if edge not in assignment.etas:
+            raise MissingInterval(f"no dwell witness for edge {edge}")
+    return _worst_log_norm(_edge_profiles(system), assignment.log_diagonals, assignment.etas)
+
+
+def _edge_profiles(system):
+    """(r, s, profile of ``P_s^-1 P_r exp(J_r t)``) for every edge."""
+    return [(r, s, _edge_profile(system, (r, s))) for r, s in system.graph.edges]
+
+
+def _worst_log_norm(profiles, log_diagonals, etas):
+    """Max over edges of ``log norm(D_s^-1 P_s^-1 P_r D_r exp(J_r eta))``.
+
+    ``D_r`` is constant on each Jordan block, so it commutes with the
+    exponential and rescales the profile's transition matrix.
+    """
     worst = -math.inf
-    for r, s in system.graph.edges:
-        if (r, s) not in assignment.etas:
-            raise MissingInterval(f"no dwell witness for edge ({r}, {s})")
-        eta = assignment.etas[(r, s)]
-        d_r = np.array(assignment.log_diagonals[r - 1])
-        d_s = np.array(assignment.log_diagonals[s - 1])
-        dec_r = system.decomposition(r)
-        trans = system.decomposition(s).P_inv @ dec_r.P
-        scaled = trans * np.exp(d_r)[None, :] * np.exp(-d_s)[:, None]
-        norm = mc.spectral_norm(scaled @ mc.exp_jordan(dec_r.blocks, eta))
-        # Exponent underflow can drive a norm to exactly 0; treat it as the
-        # floor of the log scale rather than a domain error.
-        worst = max(worst, math.log(norm) if norm > 0.0 else -math.inf)
+    for r, s, profile in profiles:
+        d_r = np.array(log_diagonals[r - 1])
+        d_s = np.array(log_diagonals[s - 1])
+        scaled = profile.X * np.exp(d_r)[None, :] * np.exp(-d_s)[:, None]
+        worst = max(worst, profile.log(etas[(r, s)], scaled))
     return worst
 
 
 def _block_layout(system):
-    """(vertex, block dim) pairs for the free vertices 2..k."""
-    layout = []
-    for vertex in range(2, system.graph.vertex_count + 1):
-        for block in system.decomposition(vertex).blocks:
-            layout.append((vertex, block.dim))
-    return layout
+    """(vertex, block) pairs for the free vertices 2..k."""
+    return [
+        (vertex, block)
+        for vertex in range(2, system.graph.vertex_count + 1)
+        for block in system.decomposition(vertex).blocks
+    ]
 
 
 def _decode(x, system, layout, config):
+    """(log-diagonals, etas) of a search point, clipped to the configured ranges."""
     k = system.graph.vertex_count
     n = system.n
     lo_d, hi_d = config.log_diag_range
     lo_e, hi_e = config.eta_range
     diags = [[0.0] * n for _ in range(k)]
     pos = {v: 0 for v in range(2, k + 1)}
-    for idx, (vertex, dim) in enumerate(layout):
+    for idx, (vertex, block) in enumerate(layout):
         val = float(np.clip(x[idx], lo_d, hi_d))
         start = pos[vertex]
-        for j in range(start, start + dim):
+        for j in range(start, start + block.dim):
             diags[vertex - 1][j] = val
-        pos[vertex] = start + dim
+        pos[vertex] = start + block.dim
     etas = {}
     for i, edge in enumerate(system.graph.edges):
         log_eta = float(np.clip(x[len(layout) + i], math.log(lo_e), math.log(hi_e)))
         etas[edge] = math.exp(log_eta)
-    return ScalingAssignment(tuple(tuple(d) for d in diags), etas)
+    return diags, etas
 
 
 def search(system, config=None):
@@ -165,19 +175,21 @@ def search(system, config=None):
     :func:`normalized_system`). Variables are one log-exponent per Jordan
     block of each vertex past the first (vertex 1 is the gauge) plus one
     log-dwell per edge; values are clipped to the configured ranges inside
-    the objective. Restarts stop early once one reaches the feasibility
-    margin; the result is deterministic for a fixed seed.
+    the objective, which stays finite however large ``lambda * eta`` gets.
+    Restarts stop early once one reaches the feasibility margin; the
+    result is deterministic for a fixed seed.
     """
     from scipy.optimize import minimize
 
     if config is None:
         config = SearchConfig()
     layout = _block_layout(system)
+    profiles = _edge_profiles(system)
     edges = system.graph.edges
     dim = len(layout) + len(edges)
 
     def objective(x):
-        return scaled_objective(system, _decode(x, system, layout, config))
+        return _worst_log_norm(profiles, *_decode(x, system, layout, config))
 
     def start_point(restart, rng):
         if restart == 0:
@@ -186,9 +198,7 @@ def search(system, config=None):
             # Bias against each vertex's expanding directions and start
             # dwells at unit length.
             x = np.zeros(dim)
-            for idx, (vertex, _) in enumerate(layout):
-                block = _nth_block(system, vertex, layout, idx)
-                x[idx] = -block.lam
+            x[: len(layout)] = [-block.lam for _, block in layout]
             return x
         lo_d, hi_d = config.log_diag_range
         lo_e, hi_e = config.eta_range
@@ -223,14 +233,9 @@ def search(system, config=None):
         if best_obj <= -config.margin:
             break
     if best_obj <= -config.margin:
-        assignment = _decode(best_x, system, layout, config)
+        assignment = ScalingAssignment(*_decode(best_x, system, layout, config))
         return SearchResult("feasible", assignment, best_obj, tuple(trace))
     return SearchResult("infeasible-within-budget", None, best_obj, tuple(trace))
-
-
-def _nth_block(system, vertex, layout, idx):
-    offset = next(i for i, (v, _) in enumerate(layout) if v == vertex)
-    return system.decomposition(vertex).blocks[idx - offset]
 
 
 def fold(system, assignment):

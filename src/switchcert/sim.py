@@ -1,11 +1,14 @@
 """Exact trajectory propagation and decay diagnostics.
 
 Between switches the state evolves by the exponential of the active
-subsystem, so trajectories are computed exactly — every sample is a dense
-matrix exponential applied to the segment's start state, never a numeric
-ODE step. Signals can be drawn at random inside a certificate's dwell
-intervals, and the fitted decay rate of the switching-time norms gives an
-empirical check of the certified geometric envelope.
+subsystem, so trajectories are computed exactly — every sample is
+``P exp(J tau) P^-1`` applied to the segment's start state, taken from the
+vertex's stored decomposition, never a numeric ODE step. Each segment is
+accurate to about ``cond(P)`` times machine epsilon, the conditioning the
+certificate already depends on. Signals can be drawn at random inside a
+certificate's dwell intervals, and the fitted decay rate of the
+switching-time norms gives an empirical check of the certified geometric
+envelope.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .errors import (
     ZeroState,
 )
 from .graph import SwitchingSignal, path_edges, validate_signal, walk_loop
-from .matrixcore import expm
+from .matrixcore import exp_jordan
 
 
 @dataclass(frozen=True)
@@ -83,10 +86,12 @@ def propagate(system, signal, x0, samples_per_interval=16, horizon=None):
     """Exact propagation of the switched system along a signal.
 
     Each dwell interval is sampled at ``samples_per_interval`` interior
-    points (equally spaced) plus its endpoint; every sample is computed as
-    ``expm(A * dt)`` applied to the interval's start state. The open-ended
-    dwell after the last switch is only simulated when ``horizon`` extends
-    past it.
+    points (equally spaced) plus its endpoint; every sample is
+    ``P exp(J tau) P^-1`` of the active vertex's decomposition applied to
+    the interval's start state, accurate to about ``cond(P)`` times machine
+    epsilon per segment. The open-ended dwell after the last switch is only
+    simulated when ``horizon`` extends past it. A state that leaves the
+    float range raises ``ValueError``.
     """
     issues = validate_signal(signal, system.graph)
     if issues:
@@ -101,6 +106,8 @@ def propagate(system, signal, x0, samples_per_interval=16, horizon=None):
     spi = int(samples_per_interval)
     if spi < 0:
         raise ValueError("samples_per_interval must be >= 0")
+    if horizon is not None and not math.isfinite(float(horizon)):
+        raise ValueError(f"horizon must be finite, got {horizon!r}")
 
     boundaries = [0.0] + list(signal.times)
     segments = [
@@ -114,18 +121,25 @@ def propagate(system, signal, x0, samples_per_interval=16, horizon=None):
     states = [x0]
     switch_indices = []
     x_start = x0
-    for vertex, t0, t1, is_switch in segments:
-        a = system.subsystem(vertex)
-        dt = t1 - t0
-        for j in range(1, spi + 1):
-            tau = dt * j / (spi + 1)
-            times.append(t0 + tau)
-            states.append(expm(a, tau) @ x_start)
-        x_start = expm(a, dt) @ x_start
-        times.append(t1)
-        states.append(x_start)
-        if is_switch:
-            switch_indices.append(len(times) - 1)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for vertex, t0, t1, is_switch in segments:
+                dec = system.decomposition(vertex)
+                y = dec.P_inv @ x_start
+                dt = t1 - t0
+                for j in range(1, spi + 1):
+                    tau = dt * j / (spi + 1)
+                    times.append(t0 + tau)
+                    states.append(dec.P @ (exp_jordan(dec.blocks, tau) @ y))
+                x_start = dec.P @ (exp_jordan(dec.blocks, dt) @ y)
+                times.append(t1)
+                states.append(x_start)
+                if is_switch:
+                    switch_indices.append(len(times) - 1)
+    except (OverflowError, FloatingPointError):
+        raise ValueError(
+            f"state leaves the float range in the dwell from t = {t0:.6g} to {t1:.6g}"
+        ) from None
     return Trajectory(np.array(times), np.vstack(states), tuple(switch_indices))
 
 

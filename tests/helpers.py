@@ -15,7 +15,9 @@ import numpy as np
 
 from switchcert import (
     SwitchGraph,
+    complex_block,
     decomposition_from_parts,
+    defective_block,
     make_system,
     real_block,
 )
@@ -253,6 +255,22 @@ def random_invertible(rng, n, min_smin=1e-3):
         m = rng.standard_normal((n, n))
         if np.linalg.svd(m, compute_uv=False)[-1] > min_smin:
             return m
+
+
+def random_blocks(rng, n, lam_range):
+    """Random real, complex-pair and defective blocks spanning dimension n."""
+    blocks = []
+    while sum(b.dim for b in blocks) < n:
+        room = n - sum(b.dim for b in blocks)
+        kind = rng.choice(["real", "complex", "defective"] if room >= 2 else ["real"])
+        lam = float(rng.uniform(*lam_range))
+        if kind == "real":
+            blocks.append(real_block(lam))
+        elif kind == "complex":
+            blocks.append(complex_block(lam, float(rng.uniform(0.2, 3.0))))
+        else:
+            blocks.append(defective_block(lam, int(rng.integers(2, room + 1))))
+    return blocks
 
 
 def random_path(rng, graph, length):

@@ -289,6 +289,40 @@ def test_necessary_checks_singular_flags(branched_system):
         assert smin == pytest.approx(direct, rel=1e-9)
 
 
+def test_necessary_checks_smin_is_blockwise(rng):
+    # s_min(exp(J)) from the blocks, against the SVD of the dense exponential;
+    # X = P_2^-1 P_1 = 2I makes edge (1, 2) an E1 edge
+    g = SwitchGraph(2, [(1, 2), (2, 1)])
+    for n in (2, 3, 4):
+        for _ in range(10):
+            blocks = helpers.random_blocks(rng, n, (0.0, 3.0))
+            p = helpers.random_invertible(rng, n)
+            a1 = p @ assemble_jordan(blocks) @ np.linalg.inv(p)
+            a2 = -np.eye(n)
+            system = make_system(
+                g, [a1, a2],
+                [decomposition_from_parts(p, blocks, a1),
+                 decomposition_from_parts(0.5 * p, [real_block(-1.0)] * n, a2)],
+            )
+            flags = dict(necessary_checks(system).singular_flags)
+            direct = helpers.svd_smallest_singular(scipy.linalg.expm(assemble_jordan(blocks)))
+            if direct >= 1.0:
+                assert flags == {(1, 2): pytest.approx(direct, rel=1e-12)}
+            else:
+                assert flags == {}
+
+
+@pytest.mark.filterwarnings("error")
+def test_necessary_checks_smin_past_the_float_range():
+    g = SwitchGraph(2, [(1, 2), (2, 1)])
+    stable = np.diag([-1.0, -2.0])
+    ring = make_system(g, [np.array([[800.0, 1.0], [-1.0, 800.0]]), stable])
+    assert necessary_checks(ring).singular_flags == (((1, 2), math.inf),)
+    # exp(J) of diag(800, -1) has s_min = e^-1: nothing to flag
+    saddle = make_system(g, [np.diag([800.0, -1.0]), stable])
+    assert necessary_checks(saddle).singular_flags == ()
+
+
 def test_necessary_checks_pass_on_certifiable_systems(prescribed_ring, three_ring):
     for system in (prescribed_ring["system"], three_ring["system"]):
         report = necessary_checks(system)

@@ -380,6 +380,29 @@ def test_region_requires_planar_ring(capsys, three_ring_doc):
     assert report_of(out)["status"] == "error"
 
 
+def test_region_ignores_basis_column_order(capsys, tmp_path, saddle_pair_system):
+    # the same eigenbasis with the unstable column and block listed first
+    doc = system_doc(saddle_pair_system, include_decompositions=True)
+    for entry in doc["decompositions"]:
+        entry["P"] = [row[::-1] for row in entry["P"]]
+        entry["blocks"] = entry["blocks"][::-1]
+    reports, csvs = [], []
+    for name, d in (("auto", system_doc(saddle_pair_system)), ("reversed", doc)):
+        out_csv = tmp_path / f"{name}.csv"
+        code, out, err = run(
+            capsys, ["region", write_doc(tmp_path, d, f"{name}.json"), "--out", str(out_csv)]
+        )
+        assert code == 0
+        assert err == ""
+        payload = report_of(out)["payload"]
+        del payload["out"]
+        reports.append(payload)
+        csvs.append(out_csv.read_text())
+    assert reports[0]["coveredCells"] == 4018
+    assert reports[1] == reports[0]
+    assert csvs[1] == csvs[0]
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -470,6 +493,12 @@ def test_simulate_requires_some_signal(capsys, saddle_doc):
 # overflow at large growth rate times dwell
 
 
+def overflow_doc(first):
+    """Ring of ``first`` and the stable diag(-1, -2, ...)."""
+    second = np.diag(-1.0 - np.arange(len(first))).tolist()
+    return {"schema_version": 1, "matrices": [first, second], "edges": [[1, 2], [2, 1]]}
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "first",
@@ -477,18 +506,46 @@ def test_simulate_requires_some_signal(capsys, saddle_doc):
         [[20.0, 1.0], [-1.0, 20.0]],  # complex pair 20 +- i
         [[20.0, 0.0], [0.0, -1.0]],  # real eigenvalue 20
         [[20.0, 1.0, 0.0], [-1.0, 20.0, 0.0], [0.0, 0.0, -1.0]],  # n = 3
+        [[800.0, 1.0], [-1.0, 800.0]],  # exp(800) itself overflows
+        [[800.0, 0.0], [0.0, -1.0]],
     ],
 )
 def test_certify_overflowing_edge_norm_is_infeasible(capsys, tmp_path, first):
     # exp(20 t) leaves the float range long before t_max = 50
-    n = len(first)
-    second = np.diag(-1.0 - np.arange(n)).tolist()
-    doc = {"schema_version": 1, "matrices": [first, second], "edges": [[1, 2], [2, 1]]}
-    code, out, err = run(capsys, ["certify", write_doc(tmp_path, doc)])
+    code, out, err = run(capsys, ["certify", write_doc(tmp_path, overflow_doc(first))])
     assert code == 4
     assert err == ""
     payload = report_of(out)["payload"]
     assert [1, 2] in payload["infeasibleEdges"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "first", [[[800.0, 1.0], [-1.0, 800.0]], [[800.0, 0.0], [0.0, -1.0]]]
+)
+def test_search_rescales_an_overflowing_ring(capsys, tmp_path, first):
+    # the rate-800 mode is left after a short dwell and the rescaled basis
+    # absorbs its growth; no objective value is inf or nan on the way
+    doc = write_doc(tmp_path, overflow_doc(first))
+    code, out, err = run(capsys, ["search", doc, "--restarts", "4", "--max-iterations", "400"])
+    assert code == 0
+    assert err == ""
+    payload = report_of(out)["payload"]
+    assert None not in payload["trace"]
+    folded = write_doc(tmp_path, payload["document"], "folded.json")
+    code, out, err = run(capsys, ["certify", folded])
+    assert code == 0
+    assert err == ""
+    assert report_of(out)["payload"]["contractionK"] < 1
+
+
+@pytest.mark.filterwarnings("error")
+def test_simulate_overflowing_state_is_an_error(capsys, tmp_path):
+    doc = write_doc(tmp_path, overflow_doc([[800.0, 1.0], [-1.0, 800.0]]))
+    code, out, err = run(capsys, ["simulate", doc, "--x0", "1,1", "--times", "1,1"])
+    assert code == 2
+    assert err == ""
+    assert "float range" in report_of(out)["payload"]["error"]
 
 
 # ---------------------------------------------------------------------------
@@ -566,14 +623,16 @@ def test_bad_flag_values_are_invalid_input(capsys, prescribed_doc, symmetric_doc
     assert flag in report["payload"]["error"]
 
 
-def test_cli_import_loads_numpy_only():
+def _probe_modules(code):
+    """Run ``code`` in a fresh interpreter; the watched modules it imported."""
     probe = (
-        "import sys, switchcert.cli; "
-        "print([m for m in ('networkx', 'scipy.optimize', 'scipy.linalg') "
+        f"import sys; {code}; "
+        "print([m for m in ('networkx', 'scipy', 'scipy.optimize', 'scipy.linalg') "
         "if m in sys.modules])"
     )
     src = os.path.dirname(os.path.dirname(switchcert.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    tests = os.path.dirname(os.path.abspath(__file__))
+    path = os.pathsep.join(filter(None, [src, tests, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True,
@@ -581,4 +640,24 @@ def test_cli_import_loads_numpy_only():
         check=True,
         env=dict(os.environ, PYTHONPATH=path),
     )
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip()
+
+
+def test_cli_import_loads_numpy_only():
+    assert _probe_modules("import switchcert.cli") == "[]"
+
+
+def test_certify_and_simulate_run_without_scipy():
+    # every step but the rescaling search runs on numpy alone
+    code = (
+        "import helpers; from switchcert import *; "
+        "r = helpers.prescribed_basis_ring(); "
+        "s = make_system(r['graph'], r['matrices'], r['system'].decompositions); "
+        "necessary_checks(s); "
+        "c = certify(s, {(1, 2): 2.5, (2, 1): 1.75}); "
+        "loop_budgets(s, c.intervals()); "
+        "propagate(s, random_signal(r['graph'], (1, 2, 1), c.intervals(), 6, 0), r['x0']); "
+        "region_scan(PlanarPair(1.0, 0.2, 10.0, 0.1, transition_matrix(s, 1, 2)), "
+        "(0, 4), (0.5, 2), 32)"
+    )
+    assert _probe_modules(code) == "[]"

@@ -21,7 +21,6 @@ from switchcert import (
     decomposition_from_parts,
     defective_block,
     exp_jordan,
-    expm,
     normalize_columns,
     real_block,
     real_jordan,
@@ -171,11 +170,6 @@ def test_exp_jordan_defective_polynomial_terms():
     e = exp_jordan(blocks, t)
     npt.assert_allclose(e[0], [1.0, t, t * t / 2.0], rtol=1e-12)
     npt.assert_allclose(np.diag(e), np.ones(3))
-
-
-def test_expm_wrapper_matches_scipy(rng):
-    a = rng.standard_normal((4, 4))
-    npt.assert_allclose(expm(a, 0.7), scipy.linalg.expm(0.7 * a), rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from switchcert import (
     MissingInterval,
     ScalingAssignment,
     SearchConfig,
+    SwitchGraph,
     certify,
     edge_norm,
     fold,
@@ -70,6 +71,19 @@ def test_identity_assignment_is_log_max_edge_norm(prescribed_ring):
     assert scaled_objective(system, asg) == pytest.approx(direct, rel=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "first", [[[20.0, 1.0], [-1.0, 20.0]], [[20.0, 0.0], [0.0, -1.0]]]
+)
+def test_objective_is_finite_past_the_float_range(first):
+    # norm(exp(20 * 50)) overflows; its logarithm, about 1000, does not
+    g = SwitchGraph(2, [(1, 2), (2, 1)])
+    system = normalized_system(make_system(g, [first, np.diag([-1.0, -2.0])]))
+    value = scaled_objective(system, identity_assignment(system, {(1, 2): 50.0, (2, 1): 1.0}))
+    assert isinstance(value, float)
+    assert value == pytest.approx(1000.0, abs=5.0)
+
+
 def test_objective_requires_all_edges(diagonal_ring_system):
     asg = ScalingAssignment(GOOD_DIAGONALS, {(1, 2): 2.5})
     with pytest.raises(MissingInterval):
@@ -111,8 +125,6 @@ def test_fold_rejects_infeasible_assignment(diagonal_ring_system):
 def test_fold_rejects_scaling_that_varies_within_a_block(rng):
     # rotation block: the two coordinates form one block, so unequal
     # exponents cannot be folded into the basis
-    from switchcert import SwitchGraph
-
     g = SwitchGraph(2, [(1, 2), (2, 1)])
     a1 = np.array([[-1.0, -2.0], [2.0, -1.0]])  # complex pair -1 +- 2i
     a2 = np.diag([-0.5, -3.0])

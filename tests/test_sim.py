@@ -5,6 +5,7 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
 
 from switchcert import (
     DimensionMismatch,
@@ -17,6 +18,7 @@ from switchcert import (
     SwitchingSignal,
     TooFewSamples,
     ZeroState,
+    assemble_jordan,
     decay_fit,
     decomposition_from_parts,
     make_system,
@@ -132,6 +134,40 @@ def test_propagate_input_validation(prescribed_ring, ring_signal):
     bad_signal = SwitchingSignal((1, 1), (1.0,))
     with pytest.raises(InadmissibleSignal):
         propagate(system, bad_signal, (1.0, 0.0))
+    for horizon in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="horizon"):
+            propagate(system, ring_signal, (1.0, 0.0), horizon=horizon)
+
+
+def random_block_system(rng, n):
+    """Two-vertex ring of random real, complex-pair and defective blocks."""
+    decs = []
+    for _ in range(2):
+        blocks = helpers.random_blocks(rng, n, (-1.0, 0.5))
+        p = helpers.random_invertible(rng, n)
+        a = p @ assemble_jordan(blocks) @ np.linalg.inv(p)
+        decs.append(decomposition_from_parts(p, blocks, a))
+    graph = SwitchGraph(2, [(1, 2), (2, 1)])
+    return make_system(graph, [d.source for d in decs], decs)
+
+
+def test_propagate_matches_dense_expm(rng):
+    # every sample against dense expm of the subsystem, restarted at each switch
+    for n in (2, 3, 4):
+        for _ in range(8):
+            system = random_block_system(rng, n)
+            dwells = rng.uniform(0.1, 1.5, size=6)
+            signal = SwitchingSignal((1, 2) * 3 + (1,), tuple(np.cumsum(dwells)))
+            x0 = rng.standard_normal(n)
+            traj = propagate(system, signal, x0, samples_per_interval=3)
+            x_start, t_start, vertex = x0, 0.0, 1
+            for idx, t in enumerate(traj.times[1:], start=1):
+                a = system.subsystem(vertex)
+                expected = scipy.linalg.expm(a * (t - t_start)) @ x_start
+                err = np.linalg.norm(traj.states[idx] - expected)
+                assert err <= 1e-9 * np.linalg.norm(expected)
+                if idx in traj.switch_indices:
+                    x_start, t_start, vertex = expected, t, 3 - vertex
 
 
 def test_trajectory_csv(prescribed_ring, ring_signal):
