@@ -18,6 +18,8 @@ Every dwell scan goes through one profile ``t -> norm(X exp(J t))``. Without
 a defective block ``exp(J t)`` is ``diag(exp(lam t))`` times a rotation, so
 the profile is log-convex: its feasible set is one interval and its
 supremum over an interval is an endpoint value. Defective sources are sampled.
+Each grid of dwells is evaluated as one stack; bisections, polishes and
+endpoint values take one dwell at a time.
 """
 
 from __future__ import annotations
@@ -45,6 +47,9 @@ E2 = "E2"
 
 #: Edges whose transition norm is within this much of 1 count as E1.
 _PARTITION_TOL = 1e-12
+
+#: Dwells per stacked profile evaluation; bounds the memory of fine grids.
+_STACK = 4096
 
 
 @dataclass(frozen=True)
@@ -118,7 +123,9 @@ class _Profile:
     This is the one evaluation of a mode exponential's norm. ``exp(lam_max
     t)`` is factored out of ``exp(J t)``, so the remaining factor cannot
     overflow: the norm is inf past the float range and :meth:`log` is
-    finite for finite input, never an overflow error or a NaN.
+    finite for finite input, never an overflow error or a NaN. A scalar
+    dwell gives a float; a 1-D numpy array of dwells gives the array of norms,
+    evaluated as stacks under the same rule (inf, never NaN or a warning).
     """
 
     def __init__(self, X, blocks):
@@ -131,11 +138,25 @@ class _Profile:
         return mc.spectral_norm(X @ mc.exp_jordan(self.blocks, t))
 
     def __call__(self, t):
+        if isinstance(t, np.ndarray) and t.ndim:
+            return self._stacked(t)
         try:
             scale = math.exp(self.lam * t)
         except OverflowError:
             return math.inf
         return self._shifted(t, self.X) * scale
+
+    def _stacked(self, ts):
+        out = np.empty(len(ts))
+        for i in range(0, len(ts), _STACK):
+            t = ts[i : i + _STACK]
+            norms = self._shifted(t, self.X)
+            with np.errstate(over="ignore", invalid="ignore"):
+                vals = norms * np.exp(self.lam * t)
+            # NaN only from 0 * inf, where exp(lam_max t) overflowed: inf, as
+            # in the scalar call.
+            out[i : i + _STACK] = np.where(np.isnan(vals), math.inf, vals)
+        return out
 
     def log(self, t, X):
         """``log norm(X exp(J t))`` for ``X``, e.g. the profile's own ``X`` rescaled."""
@@ -173,14 +194,26 @@ def partition_edges(system):
 
 
 def _sup_scan(fn, lo, hi, samples):
-    """(max, argmax) of a continuous scalar function over [lo, hi]: grid + polish."""
+    """(max, argmax) of a continuous function over [lo, hi]: grid + polish.
+
+    ``fn`` takes a scalar or a 1-D array of dwells; the ``samples``-point
+    grid is one array call.
+    """
     if hi <= lo:
         return float(fn(hi)), hi
     ts = np.linspace(lo, hi, samples)
-    vals = [fn(t) for t in ts]
+    return _polish(fn, ts, fn(ts))
+
+
+def _polish(fn, ts, vals):
+    """(max, argmax) of ``fn`` from its values on the grid ``ts``.
+
+    A ternary search with scalar calls refines the best grid point between
+    its two neighbours.
+    """
     i = int(np.argmax(vals))
     best, arg = float(vals[i]), float(ts[i])
-    a, b = ts[max(i - 1, 0)], ts[min(i + 1, samples - 1)]
+    a, b = ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)]
     for _ in range(80):
         if b - a < 1e-12:
             break
@@ -215,24 +248,16 @@ def _bisect_crossing(fn_feasible, t_out, t_in, tol):
     return 0.5 * (t_out + t_in)
 
 
-def _component_around(profile, eta, t_max, step, refine_tol):
-    """Maximal interval around a feasible dwell ``eta`` where the profile is < 1.
+def _crossings(profile, lo_out, lo_in, hi_in, hi_out, t_max, refine_tol):
+    """Endpoints of the feasible run [lo_in, hi_in] between infeasible lo_out and hi_out.
 
-    Log-convex: one bisection on (0, eta] and one on [eta, t_max]. Otherwise
-    each side first walks out from eta in ``step`` increments.
+    ``lo_out`` = 0 and ``hi_out`` = t_max stand for the ends of the scan,
+    which are endpoints themselves when the profile is < 1 there.
     """
 
     def feasible(t):
         return profile(t) < 1.0
 
-    lo_in = hi_in = eta
-    lo_out, hi_out = 0.0, t_max
-    if not profile.convex:
-        while lo_in - step > 0 and feasible(lo_in - step):
-            lo_in -= step
-        while hi_in + step <= t_max and feasible(hi_in + step):
-            hi_in += step
-        lo_out, hi_out = max(lo_in - step, 0.0), min(hi_in + step, t_max)
     if lo_out == 0.0 and feasible(0.0):
         lo = 0.0
     else:
@@ -244,31 +269,89 @@ def _component_around(profile, eta, t_max, step, refine_tol):
     return lo, hi
 
 
+def _leading_run(mask):
+    """Number of leading True entries of a boolean array."""
+    return len(mask) if mask.all() else int(np.argmin(mask))
+
+
+def _component_around(profile, eta, t_max, step, refine_tol):
+    """Maximal interval around a feasible dwell ``eta`` where the profile is < 1.
+
+    Log-convex: one bisection on (0, eta] and one on [eta, t_max].
+    Otherwise the dwells ``eta -+ k step`` inside (0, t_max] are evaluated
+    in one array call, and each side's bisection starts from its first
+    infeasible dwell, as a walk out from eta would.
+    """
+    lo_in = hi_in = eta
+    lo_out, hi_out = 0.0, t_max
+    if not profile.convex:
+        left = eta - step * np.arange(1, int(eta / step) + 1)
+        left = left[left > 0.0]
+        right = eta + step * np.arange(1, int((t_max - eta) / step) + 1)
+        right = right[right <= t_max]
+        feasible = profile(np.concatenate([left, right])) < 1.0
+        k_lo = _leading_run(feasible[: len(left)])
+        k_hi = _leading_run(feasible[len(left) :])
+        if k_lo:
+            lo_in = float(left[k_lo - 1])
+        if k_lo < len(left):
+            lo_out = float(left[k_lo])
+        if k_hi:
+            hi_in = float(right[k_hi - 1])
+        if k_hi < len(right):
+            hi_out = float(right[k_hi])
+    return _crossings(profile, lo_out, lo_in, hi_in, hi_out, t_max, refine_tol)
+
+
+def _scan_settings(t_max, grid_points, refine_tol):
+    """Checked ``(t_max, grid_points, refine_tol)`` of a dwell scan."""
+    t_max = float(t_max)
+    if not 0.0 < t_max < math.inf:
+        raise ValueError(f"t_max must be positive and finite, got {t_max!r}")
+    if not 64 <= grid_points < math.inf:
+        raise ValueError(f"grid_points must be at least 64, got {grid_points!r}")
+    if not 0.0 < refine_tol < math.inf:
+        raise ValueError(f"refine_tol must be positive and finite, got {refine_tol!r}")
+    return t_max, int(grid_points), float(refine_tol)
+
+
 def feasible_interval(system, edge, t_max=50.0, grid_points=2048, refine_tol=1e-9):
     """Maximal open sub-intervals of (0, t_max] where the edge norm is < 1.
 
     The left endpoint is reported as 0 when the norm is already below 1 in
     the small-dwell limit (E2 edges). Without a defective source block there
-    is at most one interval, grown by bisection from the norm's minimiser,
-    and ``grid_points`` is unused. A defective source is scanned on a grid
-    of ``grid_points`` steps; there an empty list means no feasible dwell
-    was found up to ``t_max`` at this grid resolution.
+    is at most one interval, and ``grid_points`` is unused: any dwell with
+    norm < 1 lies in it, so the best point of a 64-dwell grid seeds the
+    two bisections, and a ternary polish of the grid's minimum runs only
+    when no grid dwell is feasible. A defective source is scanned on a grid
+    of ``grid_points`` steps, and each run of feasible grid dwells is
+    bisected out to its infeasible neighbours; there an empty list means no
+    feasible dwell was found up to ``t_max`` at this grid resolution.
     """
-    if not t_max > 0:
-        raise ValueError("t_max must be positive")
-    grid_points = int(grid_points)
-    if grid_points < 64:
-        raise ValueError("grid_points must be at least 64")
+    t_max, grid_points, refine_tol = _scan_settings(t_max, grid_points, refine_tol)
     profile = _edge_profile(system, edge)
     if profile.convex:
-        neg_min, seed = _sup_scan(lambda t: -profile(t), 0.0, t_max, 64)
-        seeds = [seed] if -neg_min < 1.0 else []
-    else:
-        ts = np.linspace(0.0, t_max, grid_points + 1)
-        mask = [profile(t) < 1.0 for t in ts]
-        seeds = [t for i, t in enumerate(ts) if mask[i] and (i == 0 or not mask[i - 1])]
-    step = t_max / grid_points
-    return [_component_around(profile, float(t), t_max, step, refine_tol) for t in seeds]
+        ts = np.linspace(0.0, t_max, 64)
+        vals = profile(ts)
+        i = int(np.argmin(vals))
+        seed = ts[i]
+        if not vals[i] < 1.0:
+            neg_min, seed = _polish(lambda t: -profile(t), ts, -vals)
+            if not -neg_min < 1.0:
+                return []
+        return [_component_around(profile, float(seed), t_max, t_max / grid_points, refine_tol)]
+    ts = np.linspace(0.0, t_max, grid_points + 1)
+    mask = profile(ts) < 1.0
+    bounds = np.flatnonzero(np.diff(np.concatenate([[False], mask, [False]])))
+    return [
+        _crossings(
+            profile,
+            float(ts[i - 1]) if i > 0 else 0.0, float(ts[i]), float(ts[j - 1]),
+            float(ts[j]) if j <= grid_points else t_max,
+            t_max, refine_tol,
+        )
+        for i, j in zip(bounds[::2], bounds[1::2])
+    ]
 
 
 def analytic_e2_right_endpoint(system, edge):
@@ -326,11 +409,13 @@ class Certificate:
 def certify(system, etas, t_max=50.0, grid_points=2048, refine_tol=1e-9, shrink=0.005):
     """Check the per-edge norm conditions and assemble a certificate.
 
-    ``etas`` supplies one dwell witness per edge. On success the stored
-    interval for each edge is its maximal feasible component, pulled back
-    from norm-crossing endpoints by the fraction ``shrink`` of its length
-    (never past the witness) so that the supremum of the edge norm over the
-    stored interval — the contraction factor K — stays strictly below 1.
+    ``etas`` supplies one dwell witness in (0, t_max] per edge. On success
+    the stored interval for each edge is its maximal feasible component,
+    pulled back from norm-crossing endpoints by the fraction ``shrink`` (in
+    [0, 1)) of its length, never past the witness, so that the supremum of
+    the edge norm over the stored interval — the contraction factor K —
+    stays strictly below 1. The scan settings are checked as in
+    :func:`feasible_interval`.
 
     The amplification constant C is the largest value of
     ``norm(P_s exp(J_s t)) * norm(P_r^-1)`` over vertex pairs (r, s) with s
@@ -339,10 +424,17 @@ def certify(system, etas, t_max=50.0, grid_points=2048, refine_tol=1e-9, shrink=
     endpoint suprema, except over sources with a defective block, where
     they hold at the grid resolution set by ``grid_points``.
     """
+    t_max, grid_points, refine_tol = _scan_settings(t_max, grid_points, refine_tol)
+    if not 0.0 <= shrink < 1.0:
+        raise ValueError(f"shrink must be in [0, 1), got {shrink!r}")
     edges = system.graph.edges
     missing = [e for e in edges if e not in etas]
     if missing:
         raise MissingInterval(f"no dwell witness for edges {missing}")
+    for e in edges:
+        eta = float(etas[e])
+        if not 0.0 < eta <= t_max:
+            raise ValueError(f"dwell witness {eta!r} of edge {e} is outside (0, t_max = {t_max!r}]")
     part = partition_edges(system)
     norms = {e: edge_norm(system, e, etas[e]) for e in edges}
     failures = [(e, norm) for e, norm in norms.items() if not norm < 1.0]

@@ -552,6 +552,8 @@ def cmd_certify(args):
             "warnings": warnings,
         }
         return _emit("certify", "violated", payload, digest, args.pretty)
+    except ValueError as exc:
+        return _emit("certify", "error", {"error": str(exc)}, digest, args.pretty)
     payload = {
         "edges": [_condition_payload(c) for c in certificate.conditions],
         "contractionK": certificate.contraction_k,

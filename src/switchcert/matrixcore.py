@@ -54,9 +54,18 @@ def as_square_matrix(M, name="matrix"):
 
 
 def spectral_norm(M):
-    """Largest singular value of ``M`` (exact closed form for n <= 2)."""
+    """Largest singular value of ``M`` (exact closed form for n <= 2).
+
+    ``M`` is one ``(n, n)`` matrix, giving a float, or an ``(m, n, n)``
+    stack, giving an array of ``m`` norms. The stack takes the same closed
+    form elementwise (SVD for n >= 3); it agrees with the one-matrix call
+    to a few units in the last place, and is the cheaper choice from a few
+    matrices up.
+    """
     A = np.asarray(M, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        if A.ndim == 3 and A.shape[1] == A.shape[2]:
+            return _stacked_spectral_norm(A)
         raise DimensionMismatch(f"expected square matrix, got shape {A.shape}")
     n = A.shape[0]
     if n == 1:
@@ -81,6 +90,31 @@ def spectral_norm(M):
             disc = 0.25 * gap * (f2 + 2.0 * abs(det))
         return scale * math.sqrt(0.5 * f2 + math.sqrt(disc))
     return float(np.linalg.svd(A, compute_uv=False)[0])
+
+
+def _stacked_spectral_norm(A):
+    """:func:`spectral_norm` of each matrix of an ``(m, n, n)`` stack."""
+    n = A.shape[1]
+    if n == 1:
+        return np.abs(A[:, 0, 0])
+    if n > 2:
+        return np.linalg.svd(A, compute_uv=False)[:, 0]
+    # The 2x2 closed form of spectral_norm, with its branches as masks.
+    scale = np.max(np.abs(A), axis=(1, 2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        B = A / scale[:, None, None]
+        b00, b01, b10, b11 = B[:, 0, 0], B[:, 0, 1], B[:, 1, 0], B[:, 1, 1]
+        f2 = b00 * b00 + b01 * b01 + b10 * b10 + b11 * b11
+        det = b00 * b11 - b01 * b10
+        half = 0.5 * f2
+        disc = np.maximum(half * half - det * det, 0.0)
+        close = disc < 1e-8 * (half * half)
+        if close.any():
+            sg = np.where(det >= 0.0, 1.0, -1.0)
+            gap = (b00 - sg * b11) ** 2 + (b01 + sg * b10) ** 2
+            disc = np.where(close, 0.25 * gap * (f2 + 2.0 * np.abs(det)), disc)
+        norms = scale * np.sqrt(half + np.sqrt(disc))
+    return np.where(scale == 0.0, 0.0, np.where(np.isfinite(scale), norms, np.inf))
 
 
 def smallest_singular_value(M):
@@ -206,14 +240,49 @@ def assemble_jordan(blocks):
     return _block_diag([_block_matrix(b) for b in blocks])
 
 
+def _stacked_exp_jordan(blocks, t):
+    """``exp(J t_i)`` for each dwell of the 1-D array ``t``: an ``(m, n, n)`` stack."""
+    n = sum(b.dim for b in blocks)
+    out = np.zeros((len(t), n, n))
+    o = 0
+    for b in blocks:
+        e = np.exp(b.lam * t)
+        if b.kind == REAL:
+            out[:, o, o] = e
+        elif b.kind == COMPLEX_PAIR:
+            c, s = e * np.cos(b.mu * t), e * np.sin(b.mu * t)
+            out[:, o, o] = out[:, o + 1, o + 1] = c
+            out[:, o, o + 1] = s
+            out[:, o + 1, o] = -s
+        else:
+            for j in range(b.size):
+                term = t**j / math.factorial(j) * e
+                for i in range(b.size - j):
+                    out[:, o + i, o + i + j] = term
+        o += b.dim
+    return out
+
+
 def exp_jordan(blocks, t):
-    """exp(J t) assembled analytically from the block structure."""
-    t = float(t)
-    if not math.isfinite(t):
-        raise ValueError("t must be finite")
+    """exp(J t) assembled analytically from the block structure.
+
+    A scalar ``t`` gives the ``(n, n)`` matrix; a 1-D numpy array of ``m``
+    dwells gives the ``(m, n, n)`` stack, equal to the scalar calls up to
+    the last place of numpy's elementwise exp, cos and sin.
+    """
     blocks = tuple(blocks)
     if not blocks:
         raise ValueError("need at least one block")
+    if isinstance(t, np.ndarray) and t.ndim:
+        if t.ndim != 1:
+            raise DimensionMismatch(f"expected a 1-D array of dwells, got shape {t.shape}")
+        t = t.astype(float)
+        if not np.all(np.isfinite(t)):
+            raise ValueError("t must be finite")
+        return _stacked_exp_jordan(blocks, t)
+    t = float(t)
+    if not math.isfinite(t):
+        raise ValueError("t must be finite")
     if all(b.kind == REAL for b in blocks):
         return np.diag(np.exp(np.array([b.lam for b in blocks]) * t))
     return _block_diag([_block_exp(b, t) for b in blocks])

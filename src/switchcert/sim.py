@@ -89,9 +89,11 @@ def propagate(system, signal, x0, samples_per_interval=16, horizon=None):
     points (equally spaced) plus its endpoint; every sample is
     ``P exp(J tau) P^-1`` of the active vertex's decomposition applied to
     the interval's start state, accurate to about ``cond(P)`` times machine
-    epsilon per segment. The open-ended dwell after the last switch is only
-    simulated when ``horizon`` extends past it. A state that leaves the
-    float range raises ``ValueError``.
+    epsilon per segment. A dwell's interior samples come from one stacked
+    ``exp(J tau)``; its endpoint, the next start state, from a one-dwell
+    call. The open-ended dwell after the last switch is only simulated when
+    ``horizon`` extends past it. A state that leaves the float range raises
+    ``ValueError``.
     """
     issues = validate_signal(signal, system.graph)
     if issues:
@@ -127,10 +129,9 @@ def propagate(system, signal, x0, samples_per_interval=16, horizon=None):
                 dec = system.decomposition(vertex)
                 y = dec.P_inv @ x_start
                 dt = t1 - t0
-                for j in range(1, spi + 1):
-                    tau = dt * j / (spi + 1)
-                    times.append(t0 + tau)
-                    states.append(dec.P @ (exp_jordan(dec.blocks, tau) @ y))
+                taus = dt * np.arange(1, spi + 1) / (spi + 1)
+                times.extend(t0 + taus)
+                states.extend((exp_jordan(dec.blocks, taus) @ y) @ dec.P.T)
                 x_start = dec.P @ (exp_jordan(dec.blocks, dt) @ y)
                 times.append(t1)
                 states.append(x_start)

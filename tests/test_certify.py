@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import math
 import warnings
 
@@ -41,6 +42,9 @@ from switchcert import (
 )
 
 import helpers
+
+# the module, which the package's ``certify`` function shadows
+certify_module = importlib.import_module("switchcert.certify")
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +206,35 @@ def test_certify_rejects_infeasible_witness(prescribed_ring):
 def test_certify_requires_all_witnesses(prescribed_ring):
     with pytest.raises(MissingInterval):
         certify(prescribed_ring["system"], {(1, 2): 2.5})
+
+
+def test_witnesses_and_scan_settings_are_checked(prescribed_ring):
+    system = prescribed_ring["system"]
+    etas = {(1, 2): 2.5, (2, 1): 1.75}
+    # a witness past t_max has no stored interval around it
+    with pytest.raises(ValueError, match="t_max"):
+        certify(system, etas, t_max=2.0)
+    bad = [
+        ({"grid_points": 0}, "grid_points"),
+        ({"grid_points": 63}, "grid_points"),
+        ({"grid_points": math.nan}, "grid_points"),
+        ({"t_max": 0.0}, "t_max"),
+        ({"t_max": -1.0}, "t_max"),
+        ({"t_max": math.inf}, "t_max"),
+        ({"t_max": math.nan}, "t_max"),
+        ({"refine_tol": 0.0}, "refine_tol"),
+        ({"refine_tol": -1e-9}, "refine_tol"),
+        ({"refine_tol": math.nan}, "refine_tol"),
+        ({"refine_tol": math.inf}, "refine_tol"),
+    ]
+    for kwargs, name in bad:
+        with pytest.raises(ValueError, match=name):
+            certify(system, etas, **kwargs)
+        with pytest.raises(ValueError, match=name):
+            feasible_interval(system, (1, 2), **kwargs)
+    for shrink in (math.nan, -0.1, 1.0):
+        with pytest.raises(ValueError, match="shrink"):
+            certify(system, etas, shrink=shrink)
 
 
 def test_certify_uncertifiable_system(diagonal_ring_system):
@@ -577,6 +610,56 @@ def test_certify_evaluates_few_norms(monkeypatch, prescribed_ring):
     assert 0 < calls[0] <= 300
 
 
+def _count_scalar_norms(monkeypatch):
+    """Count ``spectral_norm`` calls on one matrix; stacked calls are not counted."""
+    calls = [0]
+    norm = matrixcore.spectral_norm
+
+    def counted(M):
+        calls[0] += np.ndim(M) == 2
+        return norm(M)
+
+    monkeypatch.setattr(matrixcore, "spectral_norm", counted)
+    return calls
+
+
+def test_feasible_interval_evaluates_few_norms(monkeypatch, prescribed_ring):
+    # a feasible point of the stacked 64-dwell grid seeds both bisections
+    calls = _count_scalar_norms(monkeypatch)
+    system = prescribed_ring["system"]
+    for edge in system.graph.edges:
+        assert len(feasible_interval(system, edge)) == 1
+    assert 0 < calls[0] <= 200
+
+
+def test_defective_scan_evaluates_few_scalar_norms(monkeypatch):
+    # the grid is one stacked call; only the crossings' bisections are
+    # scalar (26 calls here, against 4034 for a dwell-by-dwell scan)
+    blocks = [[defective_block(-1.0, 2)], [real_block(-0.5), real_block(-3.0)]]
+    system = _ring_system(blocks, np.random.default_rng(7))
+    calls = _count_scalar_norms(monkeypatch)
+    assert feasible_interval(system, (1, 2))
+    assert 0 < calls[0] <= 60
+
+
+def test_stacked_profile_matches_scalar_calls():
+    rng = np.random.default_rng(515)
+    kinds = set()
+    for trial in range(40):
+        n = 1 + trial % 4
+        blocks = helpers.random_blocks(rng, n, (-2.0, 1.0))
+        kinds.update(b.kind for b in blocks)
+        x = helpers.random_invertible(rng, n, min_smin=0.2) * 10.0 ** rng.uniform(-1, 1)
+        profile = certify_module._Profile(x, blocks)
+        ts = np.concatenate([[0.0], rng.uniform(0.0, 12.0, 4500 if trial < 4 else 60)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stacked = profile(ts)
+        scalar = [profile(float(t)) for t in ts]
+        npt.assert_allclose(stacked, scalar, rtol=1e-14, atol=0.0)
+    assert kinds == {"real-eigenvalue", "complex-conjugate-pair", "defective-real"}
+
+
 def test_stable_edge_lower_bound_beta_is_one():
     # without a defective block norm(exp(J t)) exp(-lambda_star t) peaks at t = 0
     g = SwitchGraph(2, [(1, 2), (2, 1)])
@@ -597,3 +680,5 @@ def test_edge_norm_overflow_is_infinite():
         assert edge_norm(system, (1, 2), 50.0) == math.inf
         assert feasible_interval(system, (1, 2)) == []
         assert edge_norm(system, (2, 1), 50.0) < 1e-10
+        stacked = certify_module._edge_profile(system, (1, 2))(np.array([1.0, 40.0, 50.0]))
+        assert math.isfinite(stacked[0]) and list(stacked[1:]) == [math.inf, math.inf]

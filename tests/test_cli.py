@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -274,7 +275,7 @@ def test_digest_tracks_input_content(capsys, tmp_path, diagonal_ring_system,
     assert json.loads(out_a)["inputDigest"] != json.loads(out_b)["inputDigest"]
     # formatting-only changes do not move the digest
     reformatted = tmp_path / "a2.json"
-    reformatted.write_text(json.dumps(json.loads(open(a).read()), indent=4))
+    reformatted.write_text(json.dumps(json.loads(Path(a).read_text()), indent=4))
     _, out_a2, _ = run(capsys, ["validate", str(reformatted)])
     assert json.loads(out_a2)["inputDigest"] == json.loads(out_a)["inputDigest"]
 
@@ -610,6 +611,11 @@ def test_loops_acyclic_graph_warns(capsys, acyclic_doc):
         (["search", "{prescribed}", "--max-iterations", "0"], "--max-iterations"),
         (["search", "{prescribed}", "--margin", "-1"], "--margin"),
         (["search", "{prescribed}", "--margin", "nan"], "--margin"),
+        (
+            ["certify", "{prescribed}", "--eta", "1,2=2.5", "--eta", "2,1=1.75",
+             "--tmax", "2"],
+            "t_max",
+        ),
     ],
 )
 def test_bad_flag_values_are_invalid_input(capsys, prescribed_doc, symmetric_doc,

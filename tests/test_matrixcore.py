@@ -43,6 +43,14 @@ def test_spectral_norm_matches_svd_oracle(rng):
         npt.assert_allclose(
             spectral_norm(m), helpers.svd_spectral_norm(m), rtol=1e-10, atol=1e-12
         )
+    for n in range(1, 7):
+        stack = rng.standard_normal((40, n, n)) * 10.0 ** rng.integers(-3, 4, (40, 1, 1))
+        npt.assert_allclose(
+            spectral_norm(stack),
+            [helpers.svd_spectral_norm(m) for m in stack],
+            rtol=1e-10,
+            atol=1e-12,
+        )
 
 
 def test_smallest_singular_matches_svd_oracle(rng):
@@ -60,11 +68,18 @@ def test_smallest_singular_matches_svd_oracle(rng):
 def test_spectral_norm_close_singular_values(rng):
     # Nearly equal singular values cancel in the 2x2 closed form's
     # discriminant; the result must still match the SVD closely.
+    stack = []
     for k in range(200):
         gap = 10.0 ** (-14.0 + 12.0 * k / 199)
         m = helpers.random_orthogonal(rng, 2) @ np.diag([1.0, math.exp(-gap)])
         m *= 10.0 ** float(rng.uniform(-3, 3))
         npt.assert_allclose(spectral_norm(m), helpers.svd_spectral_norm(m), rtol=1e-11)
+        stack.append(m)
+    npt.assert_allclose(
+        spectral_norm(np.array(stack)),
+        [helpers.svd_spectral_norm(m) for m in stack],
+        rtol=1e-11,
+    )
 
 
 def test_spectral_norm_huge_and_tiny_entries_no_overflow():
@@ -72,6 +87,8 @@ def test_spectral_norm_huge_and_tiny_entries_no_overflow():
     assert spectral_norm(m) == pytest.approx(1e200)
     assert smallest_singular_value(m) == pytest.approx(1e-200)
     assert spectral_norm(np.zeros((2, 2))) == 0.0
+    stack = np.array([m, np.zeros((2, 2)), [[np.inf, 1.0], [0.0, 1.0]]])
+    npt.assert_allclose(spectral_norm(stack), [1e200, 0.0, np.inf], rtol=1e-15)
 
 
 def test_inverse_norm_is_reciprocal_smallest_singular(rng):
@@ -162,6 +179,12 @@ def test_exp_jordan_matches_scipy_expm(rng):
         t = float(rng.uniform(0.0, 3.0))
         direct = scipy.linalg.expm(assemble_jordan(blocks) * t)
         npt.assert_allclose(exp_jordan(blocks, t), direct, rtol=1e-9, atol=1e-9)
+        ts = rng.uniform(0.0, 3.0, 5)
+        stack = exp_jordan(blocks, ts)
+        assert stack.shape == (5, total, total)
+        for t, e in zip(ts, stack):
+            direct = scipy.linalg.expm(assemble_jordan(blocks) * t)
+            npt.assert_allclose(e, direct, rtol=1e-9, atol=1e-9)
 
 
 def test_exp_jordan_defective_polynomial_terms():

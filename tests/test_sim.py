@@ -21,6 +21,7 @@ from switchcert import (
     assemble_jordan,
     decay_fit,
     decomposition_from_parts,
+    exp_jordan,
     make_system,
     propagate,
     random_signal,
@@ -168,6 +169,27 @@ def test_propagate_matches_dense_expm(rng):
                 assert err <= 1e-9 * np.linalg.norm(expected)
                 if idx in traj.switch_indices:
                     x_start, t_start, vertex = expected, t, 3 - vertex
+
+
+def test_propagate_stacked_samples_match_one_dwell_calls(rng):
+    # a dwell's interior samples come from one stacked exp(J tau): they match
+    # one-dwell calls to rounding, and the switching states are such calls
+    spi = 9
+    for n in (1, 2, 3, 4):
+        system = random_block_system(rng, n)
+        signal = SwitchingSignal((1, 2) * 3 + (1,), tuple(np.cumsum(rng.uniform(0.1, 1.5, 6))))
+        traj = propagate(system, signal, rng.standard_normal(n), samples_per_interval=spi)
+        boundaries = (0.0,) + signal.times
+        for k, vertex in enumerate(signal.path[:-1]):
+            dec = system.decomposition(vertex)
+            start = k * (spi + 1)
+            y = dec.P_inv @ traj.states[start]
+            dt = boundaries[k + 1] - boundaries[k]
+            for j in range(1, spi + 1):
+                ref = dec.P @ (exp_jordan(dec.blocks, dt * j / (spi + 1)) @ y)
+                assert np.linalg.norm(traj.states[start + j] - ref) <= 1e-14 * np.linalg.norm(ref)
+            end = dec.P @ (exp_jordan(dec.blocks, dt) @ y)
+            assert np.array_equal(traj.states[start + spi + 1], end)
 
 
 def test_trajectory_csv(prescribed_ring, ring_signal):
