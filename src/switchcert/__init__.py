@@ -21,8 +21,9 @@ Modules
     Per-edge dwell conditions, feasible dwell intervals, certificates with
     contraction/amplification constants, necessary checks, loop budgets.
 ``scaling``
-    Diagonal rescaling of eigenbases and a multi-start search that turns
-    infeasible edge conditions into feasible ones when possible.
+    Diagonal rescaling of eigenbases and a cutting-plane search that turns
+    infeasible edge conditions into feasible ones when possible, or proves
+    that no rescaling in its box can.
 ``planar``
     Closed-form two-dimensional criteria: Schur tests, trace/determinant
     feasibility, region scans, and the sign-pattern diagonal case.
@@ -105,6 +106,7 @@ from .certify import (
     analytic_e2_right_endpoint,
     certify,
     decay_envelope,
+    determinant_flags,
     edge_norm,
     feasible_interval,
     loop_budgets,

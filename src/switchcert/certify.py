@@ -38,6 +38,7 @@ from .errors import (
     NotAnEdge,
     NotHurwitz,
     SignalOutsideClass,
+    TooManyLoops,
 )
 from .graph import enumerate_simple_loops, path_edges
 
@@ -163,6 +164,16 @@ class _Profile:
         norm = self._shifted(t, X)
         # Only an X that underflowed to zero gives a zero norm.
         return self.lam * t + math.log(norm) if norm > 0.0 else -math.inf
+
+    def top_pair(self, t, X):
+        """Top singular vectors ``(u, v)`` of ``X exp(J t)``, overflow-safe as :meth:`log`.
+
+        Also returns ``sum_j lam_j v_j^2``: without a defective block, the
+        derivative of :meth:`log` in ``t``.
+        """
+        u, _, vt = np.linalg.svd(X @ mc.exp_jordan(self.blocks, t))
+        lams = np.array([b.lam for b in self.blocks for _ in range(b.dim)])
+        return u[:, 0], vt[0], self.lam + lams @ vt[0] ** 2
 
 
 def _edge_profile(system, edge):
@@ -509,39 +520,74 @@ class NecessaryReport:
 
     ``singular_flags`` lists E1 edges whose source exponential never
     contracts (smallest singular value of exp(J_r) at unit time >= 1);
-    ``trace_flags`` lists simple loops, in planar systems only, all of
-    whose subsystems have non-negative trace. Either flag makes the
-    per-edge conditions unsatisfiable; an empty report is NOT a
-    feasibility guarantee.
+    ``determinant_flags`` lists simple loops all of whose subsystems have
+    non-negative trace, in any dimension, and is None when the graph has
+    too many simple loops to list; ``trace_flags`` lists the same loops in
+    planar systems only (``trace_applicable``). Any flag makes the per-edge
+    conditions unsatisfiable; an empty report is NOT a feasibility
+    guarantee.
     """
 
     singular_flags: tuple
     trace_flags: tuple
     trace_applicable: bool
+    determinant_flags: object
 
     @property
     def ok(self):
-        return not self.singular_flags and not self.trace_flags
+        return not (self.singular_flags or self.determinant_flags)
+
+
+def loop_traces(graph, matrices, loops=None, max_loops=10000):
+    """``(loop, traces)`` pairs: each simple loop with its subsystems' traces.
+
+    ``traces[i]`` is the trace of the subsystem at ``loop[i]``, the source
+    of the loop's i-th edge. Around a loop of m edges the factors'
+    determinants multiply to ``exp(sum_i traces[i] * eta_i)``, since the
+    basis changes (and any diagonal rescalings) telescope, and a norm is at
+    least ``|det|^(1/n)``; so the worst factor's log norm is at least
+    ``sum_i traces[i] * eta_i / (n m)``. ``loops`` defaults to every simple
+    loop of ``graph``; None when there are more than ``max_loops``.
+    """
+    if loops is None:
+        try:
+            loops = enumerate_simple_loops(graph, max_loops)
+        except TooManyLoops:
+            return None
+    return tuple(
+        (loop, tuple(float(np.trace(matrices[v - 1])) for v in loop[:-1]))
+        for loop in loops
+    )
+
+
+def determinant_flags(graph, matrices, loops=None, max_loops=10000):
+    """Simple loops whose subsystems all have trace >= 0, in any dimension.
+
+    By the bound of :func:`loop_traces` the factors around such a loop
+    cannot all have norm < 1: no choice of bases or dwells certifies it.
+    Returns a tuple of ``(loop, traces)`` pairs, or None when ``loops`` is
+    not given and ``graph`` has more than ``max_loops`` simple loops.
+    """
+    traced = loop_traces(graph, matrices, loops, max_loops)
+    if traced is None:
+        return None
+    return tuple(
+        (loop, traces) for loop, traces in traced if all(tr >= 0.0 for tr in traces)
+    )
 
 
 def trace_flags(graph, matrices, loops=None, max_loops=10000):
-    """Planar trace test: simple loops whose subsystems all have trace >= 0.
+    """Planar trace test: :func:`determinant_flags` of 2x2 matrices.
 
-    No choice of bases or dwells certifies such a loop. Returns None when
-    the matrices are not 2x2 and the test does not apply; otherwise a tuple
-    of ``(loop, traces)`` pairs. ``loops`` defaults to every simple loop of
-    ``graph``.
+    Returns None when the matrices are not 2x2 and the test does not apply.
+    Raises :class:`TooManyLoops` when ``loops`` is not given and ``graph``
+    has more than ``max_loops`` simple loops.
     """
     if np.shape(matrices[0]) != (2, 2):
         return None
     if loops is None:
         loops = enumerate_simple_loops(graph, max_loops)
-    flags = []
-    for loop in loops:
-        traces = tuple(float(np.trace(matrices[v - 1])) for v in loop[:-1])
-        if all(tr >= 0.0 for tr in traces):
-            flags.append((loop, traces))
-    return tuple(flags)
+    return determinant_flags(graph, matrices, loops)
 
 
 def _exp_smin(block):
@@ -568,8 +614,9 @@ def necessary_checks(system, max_loops=10000):
         smin = min(_exp_smin(b) for b in system.decomposition(e[0]).blocks)
         if smin >= 1.0 - _PARTITION_TOL:
             singular.append((e, float(smin)))
-    flags = trace_flags(system.graph, system.subsystems, max_loops=max_loops)
-    return NecessaryReport(tuple(singular), flags or (), flags is not None)
+    flags = determinant_flags(system.graph, system.subsystems, max_loops=max_loops)
+    planar = system.n == 2 and flags is not None
+    return NecessaryReport(tuple(singular), flags if planar else (), planar, flags)
 
 
 @dataclass(frozen=True)
@@ -578,8 +625,10 @@ class LoopBudget:
 
     ``m_sum`` collects the log transition norms of the loop's E2 edges and
     ``n_sum`` the log interval-suprema of its E1 edges (both <= 0 under a
-    certificate). With ``lambda_max``/``gamma_sum`` the max/sum of spectral
-    abscissas over E2-edge sources, the total E2 dwell per lap is bounded
+    certificate). ``lambda_max``/``gamma_sum`` are the max/sum over E2-edge
+    sources of the logarithmic norm of ``J_r`` (the spectral abscissa
+    unless a block is defective), which bounds each E2 edge norm by
+    ``norm(P_s^-1 P_r) exp(mu t)``. So the total E2 dwell per lap is bounded
     by -(M+N)/lambda and each individual E2 dwell by -(M+N)/gamma; a
     non-positive denominator means no finite budget is implied. Loops with
     no E2 edge carry no budget at all (``applicable`` False).
@@ -613,9 +662,9 @@ def loop_budgets(system, intervals, max_loops=10000):
         for e in path_edges(loop):
             if part[e] == E2:
                 m_sum += math.log(mc.spectral_norm(transition_matrix(system, *e)))
-                absc = system.decomposition(e[0]).spectral_abscissa
-                lam = absc if lam is None else max(lam, absc)
-                gamma = absc if gamma is None else gamma + absc
+                mu = system.decomposition(e[0]).log_norm
+                lam = mu if lam is None else max(lam, mu)
+                gamma = mu if gamma is None else gamma + mu
             else:
                 if e not in intervals:
                     raise MissingInterval(f"no dwell interval for E1 edge {e}")

@@ -11,7 +11,7 @@ communicates the outcome through its exit code:
     2  invalid input
     3  parse error
     4  certificate violated
-    5  scaling search infeasible within budget
+    5  scaling search infeasible within budget (a proof when its note says so)
 
 Reports are deterministic for a fixed input and seed; CSV artifacts are
 written only when ``--out`` is given, and nothing is printed to stderr on
@@ -358,6 +358,11 @@ def _necessary_payload(report):
         ],
         "traceFlags": _trace_flags_payload(report.trace_flags),
         "traceApplicable": report.trace_applicable,
+        "determinantFlags": (
+            None
+            if report.determinant_flags is None
+            else _trace_flags_payload(report.determinant_flags)
+        ),
     }
 
 
@@ -584,6 +589,7 @@ def cmd_search(args):
     payload = {
         "searchStatus": result.status,
         "objective": result.objective,
+        "lowerBound": result.lower_bound,
         "trace": list(result.trace),
         "restarts": config.restarts,
         "seed": config.seed,
@@ -606,10 +612,16 @@ def cmd_search(args):
             ],
         }
         return _emit("search", "ok", payload, digest, args.pretty)
-    payload["note"] = (
-        "no feasible rescaling found within the search budget; this is not "
-        "a proof that none exists"
-    )
+    lower = -math.inf if result.lower_bound is None else result.lower_bound
+    if lower >= 0.0:
+        payload["note"] = "proved: no rescaling in the search box satisfies every edge condition"
+    elif lower > -config.margin:
+        payload["note"] = "proved: no rescaling in the search box reaches the margin"
+    else:
+        payload["note"] = (
+            "no feasible rescaling found within the search budget; this is not "
+            "a proof that none exists"
+        )
     return _emit("search", "infeasible", payload, digest, args.pretty)
 
 

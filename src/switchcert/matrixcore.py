@@ -81,14 +81,12 @@ def spectral_norm(M):
         B = A / scale
         f2 = float(B[0, 0] ** 2 + B[0, 1] ** 2 + B[1, 0] ** 2 + B[1, 1] ** 2)
         det = float(B[0, 0] * B[1, 1] - B[0, 1] * B[1, 0])
-        disc = max((0.5 * f2) ** 2 - det * det, 0.0)
-        if disc < 1e-8 * (0.5 * f2) ** 2:
-            # Close singular values cancel in the difference of squares; use
-            # f2 - 2|det| = (b00 -+ b11)^2 + (b01 +- b10)^2 (sign of det).
-            sg = 1.0 if det >= 0.0 else -1.0
-            gap = float((B[0, 0] - sg * B[1, 1]) ** 2 + (B[0, 1] + sg * B[1, 0]) ** 2)
-            disc = 0.25 * gap * (f2 + 2.0 * abs(det))
-        return scale * math.sqrt(0.5 * f2 + math.sqrt(disc))
+        # (f2/2)^2 - det^2 = (f2 - 2|det|)(f2 + 2|det|)/4, where the gap
+        # f2 - 2|det| = (b00 -+ b11)^2 + (b01 +- b10)^2 (sign of det) does
+        # not cancel when the singular values are close.
+        sg = 1.0 if det >= 0.0 else -1.0
+        gap = float((B[0, 0] - sg * B[1, 1]) ** 2 + (B[0, 1] + sg * B[1, 0]) ** 2)
+        return scale * math.sqrt(0.5 * f2 + math.sqrt(0.25 * gap * (f2 + 2.0 * abs(det))))
     return float(np.linalg.svd(A, compute_uv=False)[0])
 
 
@@ -99,21 +97,16 @@ def _stacked_spectral_norm(A):
         return np.abs(A[:, 0, 0])
     if n > 2:
         return np.linalg.svd(A, compute_uv=False)[:, 0]
-    # The 2x2 closed form of spectral_norm, with its branches as masks.
+    # The 2x2 closed form of spectral_norm, with its zero/inf cases as masks.
     scale = np.max(np.abs(A), axis=(1, 2))
     with np.errstate(divide="ignore", invalid="ignore"):
         B = A / scale[:, None, None]
         b00, b01, b10, b11 = B[:, 0, 0], B[:, 0, 1], B[:, 1, 0], B[:, 1, 1]
         f2 = b00 * b00 + b01 * b01 + b10 * b10 + b11 * b11
         det = b00 * b11 - b01 * b10
-        half = 0.5 * f2
-        disc = np.maximum(half * half - det * det, 0.0)
-        close = disc < 1e-8 * (half * half)
-        if close.any():
-            sg = np.where(det >= 0.0, 1.0, -1.0)
-            gap = (b00 - sg * b11) ** 2 + (b01 + sg * b10) ** 2
-            disc = np.where(close, 0.25 * gap * (f2 + 2.0 * np.abs(det)), disc)
-        norms = scale * np.sqrt(half + np.sqrt(disc))
+        sg = np.where(det >= 0.0, 1.0, -1.0)
+        gap = (b00 - sg * b11) ** 2 + (b01 + sg * b10) ** 2
+        norms = scale * np.sqrt(0.5 * f2 + np.sqrt(0.25 * gap * (f2 + 2.0 * np.abs(det))))
     return np.where(scale == 0.0, 0.0, np.where(np.isfinite(scale), norms, np.inf))
 
 
@@ -309,6 +302,18 @@ class SpectralDecomposition:
     @property
     def spectral_abscissa(self):
         return max(b.lam for b in self.blocks)
+
+    @property
+    def log_norm(self):
+        """Logarithmic 2-norm of J, so that ``norm(exp(J t)) <= exp(log_norm * t)``.
+
+        A size-k defective block adds ``cos(pi / (k + 1))`` to its eigenvalue;
+        without one this is the spectral abscissa.
+        """
+        return max(
+            b.lam + (math.cos(math.pi / (b.size + 1)) if b.kind == DEFECTIVE else 0.0)
+            for b in self.blocks
+        )
 
     def jordan_matrix(self):
         return assemble_jordan(self.blocks)

@@ -1,18 +1,14 @@
 """Diagonal rescaling search for the per-edge norm conditions.
 
-The certificate conditions are not invariant under rescaling of the
-eigenbasis columns: replacing each ``P_i`` by ``P_i D_i`` (``D_i``
-invertible diagonal, constant within each Jordan block so it commutes with
-``exp(J_i t)``) changes every edge norm to
-``norm(D_s^-1 P_s^-1 P_r D_r exp(J_r eta))``. Systems that fail the
-conditions with unit-norm columns may pass after a suitable rescaling, so
-feasibility is a joint search over the diagonals and the per-edge dwell
-witnesses.
-
-This module provides the scaled objective (log of the worst edge norm), a
-seeded multi-start Nelder-Mead search over block-constant log-diagonals
-and log-dwells, and `fold`, which bakes a feasible assignment back into the
-decompositions so the result can be certified directly.
+Replacing each ``P_i`` by ``P_i D_i`` (``D_i = diag(exp(d_i))``, constant on
+each Jordan block so it commutes with ``exp(J_i t)``) changes every edge
+norm to ``norm(D_s^-1 P_s^-1 P_r D_r exp(J_r eta))``. Without a defective
+source block that is the norm of ``diag(exp(-d_s)) P_s^-1 P_r diag(exp(d_r +
+lam_r eta))``, whose log is jointly convex in ``(d, eta)`` (Sezginer &
+Overton, IEEE TAC 1990): the search runs Kelley's cutting-plane method,
+whose linear programs also bound the objective below. Defective sources
+fall back to multi-start Nelder-Mead. `fold` bakes a feasible assignment
+into the decompositions so the result certifies directly.
 """
 
 from __future__ import annotations
@@ -23,8 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matrixcore as mc
-from .certify import SwitchedSystem, _edge_profile
+from .certify import SwitchedSystem, _edge_profile, loop_traces
 from .errors import DimensionMismatch, InfeasibleAssignment, MissingInterval
+from .graph import path_edges
 
 
 def normalized_system(system):
@@ -53,9 +50,6 @@ class ScalingAssignment:
         object.__setattr__(self, "log_diagonals", diags)
         object.__setattr__(self, "etas", etas)
 
-    def diagonal(self, vertex):
-        return np.exp(np.array(self.log_diagonals[vertex - 1]))
-
 
 def identity_assignment(system, etas):
     """Assignment with every D_i = I and the given dwell witnesses."""
@@ -66,6 +60,12 @@ def identity_assignment(system, etas):
 
 @dataclass(frozen=True)
 class SearchConfig:
+    """Settings of :func:`search`: the box ``log_diag_range`` x ``eta_range``.
+
+    ``max_iterations`` is the cut budget (per restart in the Nelder-Mead
+    fallback, the only user of ``restarts`` and ``seed``).
+    """
+
     restarts: int = 64
     max_iterations: int = 2000
     eta_range: tuple = (1e-3, 50.0)
@@ -89,15 +89,18 @@ class SearchResult:
     """Outcome of a scaling search.
 
     ``status`` is "feasible" (objective <= -margin; ``assignment`` set) or
-    "infeasible-within-budget" — the latter is NOT a proof that no scaling
-    exists, only that none was found within the configured budget.
-    ``trace`` records the best objective of each restart that ran.
+    "infeasible-within-budget". ``lower_bound`` bounds the objective over
+    the whole box: above ``-margin`` it proves that no rescaling in the box
+    reaches the margin, at >= 0 that none satisfies the conditions; None
+    from the Nelder-Mead fallback. ``trace`` is the best objective after
+    each cut (each restart, in the fallback), so ``min(trace) == objective``.
     """
 
     status: str
     assignment: object
     objective: float
     trace: tuple
+    lower_bound: object
 
     @property
     def feasible(self):
@@ -115,7 +118,8 @@ def scaled_objective(system, assignment):
     for edge in system.graph.edges:
         if edge not in assignment.etas:
             raise MissingInterval(f"no dwell witness for edge {edge}")
-    return _worst_log_norm(_edge_profiles(system), assignment.log_diagonals, assignment.etas)
+    profiles = _edge_profiles(system)
+    return _worst_edge(profiles, assignment.log_diagonals, assignment.etas)[0]
 
 
 def _edge_profiles(system):
@@ -123,101 +127,156 @@ def _edge_profiles(system):
     return [(r, s, _edge_profile(system, (r, s))) for r, s in system.graph.edges]
 
 
-def _worst_log_norm(profiles, log_diagonals, etas):
-    """Max over edges of ``log norm(D_s^-1 P_s^-1 P_r D_r exp(J_r eta))``.
+def _worst_edge(profiles, log_diagonals, etas):
+    """The worst edge at an assignment: ``(value, index, scaled)``.
 
-    ``D_r`` is constant on each Jordan block, so it commutes with the
-    exponential and rescales the profile's transition matrix.
+    ``value`` is the max over edges of
+    ``log norm(D_s^-1 P_s^-1 P_r D_r exp(J_r eta))``, attained at edge
+    ``index``, whose ``D_s^-1 P_s^-1 P_r D_r`` is ``scaled``. ``D_r`` is
+    constant on each Jordan block, so it commutes with the exponential and
+    rescales the profile's transition matrix.
     """
-    worst = -math.inf
-    for r, s, profile in profiles:
-        d_r = np.array(log_diagonals[r - 1])
-        d_s = np.array(log_diagonals[s - 1])
+    worst = (-math.inf, 0, None)
+    for i, (r, s, profile) in enumerate(profiles):
+        d_r = np.asarray(log_diagonals[r - 1])
+        d_s = np.asarray(log_diagonals[s - 1])
         scaled = profile.X * np.exp(d_r)[None, :] * np.exp(-d_s)[:, None]
-        worst = max(worst, profile.log(etas[(r, s)], scaled))
+        value = profile.log(etas[(r, s)], scaled)
+        if value > worst[0]:
+            worst = (value, i, scaled)
     return worst
 
 
-def _block_layout(system):
-    """(vertex, block) pairs for the free vertices 2..k."""
-    return [
-        (vertex, block)
-        for vertex in range(2, system.graph.vertex_count + 1)
-        for block in system.decomposition(vertex).blocks
-    ]
+def search(system, config=None):
+    """Deterministic search for a rescaling with every edge norm <= ``exp(-margin)``.
 
-
-def _decode(x, system, layout, config):
-    """(log-diagonals, etas) of a search point, clipped to the configured ranges."""
+    Expects unit-norm columns (see :func:`normalized_system`). The variables
+    are one log-exponent per Jordan block of vertices 2..k (vertex 1 is the
+    gauge) and one dwell per edge. The cutting-plane loop stops once the
+    best objective reaches ``-margin``, the lower bound exceeds it or
+    ``max_iterations`` cuts have run; a defective source block selects the
+    Nelder-Mead fallback instead.
+    """
+    config = config or SearchConfig()
     k = system.graph.vertex_count
     n = system.n
-    lo_d, hi_d = config.log_diag_range
-    lo_e, hi_e = config.eta_range
-    diags = [[0.0] * n for _ in range(k)]
-    pos = {v: 0 for v in range(2, k + 1)}
-    for idx, (vertex, block) in enumerate(layout):
-        val = float(np.clip(x[idx], lo_d, hi_d))
-        start = pos[vertex]
-        for j in range(start, start + block.dim):
-            diags[vertex - 1][j] = val
-        pos[vertex] = start + block.dim
-    etas = {}
-    for i, edge in enumerate(system.graph.edges):
-        log_eta = float(np.clip(x[len(layout) + i], math.log(lo_e), math.log(hi_e)))
-        etas[edge] = math.exp(log_eta)
-    return diags, etas
+    edges = system.graph.edges
+    free = [b for dec in system.decompositions[1:] for b in dec.blocks]
+    nd = len(free)
+    # embed @ d: every vertex's per-column log-diagonal; vertex 1 is the gauge
+    owner = np.repeat(np.arange(nd), [b.dim for b in free]).reshape(k - 1, n)
+    embed = np.concatenate([np.zeros((1, n, nd)), np.eye(nd)[owner]])
+    box = np.array(
+        [config.log_diag_range] * nd + [config.eta_range] * len(edges), dtype=float
+    )
+    profiles = _edge_profiles(system)
+
+    def assignment(x):
+        return embed @ x[:nd], dict(zip(edges, x[nd:]))
+
+    if all(p.convex for _, _, p in profiles):
+        solve = _cutting_planes
+    else:
+        solve = _nelder_mead
+    (value, x), trace, lower = solve(system, profiles, embed, box, assignment, config)
+    if value <= -config.margin:
+        assigned = ScalingAssignment(*assignment(x))
+        return SearchResult("feasible", assigned, value, tuple(trace), lower)
+    return SearchResult("infeasible-within-budget", None, value, tuple(trace), lower)
 
 
-def search(system, config=None):
-    """Seeded multi-start derivative-free search for a feasible rescaling.
+def _cutting_planes(system, profiles, embed, box, assignment, config):
+    """Kelley's method: ``(best value, its point)``, the trace, the lower bound.
 
-    Expects decompositions with unit-norm columns (see
-    :func:`normalized_system`). Variables are one log-exponent per Jordan
-    block of each vertex past the first (vertex 1 is the gauge) plus one
-    log-dwell per edge; values are clipped to the configured ranges inside
-    the objective, which stays finite however large ``lambda * eta`` gets.
-    Restarts stop early once one reaches the feasibility margin; the
-    result is deterministic for a fixed seed.
+    A cut is the binding edge's subgradient from its top singular pair
+    ``(u, v)``: ``v_j^2`` on the source's ``d``, ``-u_i^2`` on the target's
+    (summed per block) and ``sum_j lam_j v_j^2`` on the dwell.
+    """
+    from scipy.optimize import linprog
+
+    nd = embed.shape[2]
+    edges = system.graph.edges
+    # The LP starts with the determinant cut of every simple loop (see
+    # certify.loop_traces): the worst edge's log norm is at least
+    # sum_e tr(A_r) eta_e / (n m) around a loop of m edges.
+    slopes = []
+    for loop, traces in loop_traces(system.graph, system.subsystems) or ():
+        slopes.append(np.zeros(len(box)))
+        for edge, trace_r in zip(path_edges(loop), traces):
+            slopes[-1][nd + edges.index(edge)] = trace_r / (system.n * len(traces))
+    offsets = [0.0] * len(slopes)
+    x = box.mean(axis=1)
+    best, trace, lower = (math.inf, x), [], -math.inf
+    for _ in range(config.max_iterations):
+        value, i, scaled = _worst_edge(profiles, *assignment(x))
+        r, s, profile = profiles[i]
+        u, v, rate = profile.top_pair(x[nd + i], scaled)
+        grad = np.zeros(len(x))
+        grad[:nd] = embed[r - 1].T @ (v * v) - embed[s - 1].T @ (u * u)
+        grad[nd + i] = rate
+        slopes.append(grad)
+        offsets.append(value - grad @ x)
+        if value < best[0]:
+            best = (value, x)
+        trace.append(best[0])
+        if best[0] <= -config.margin:
+            break
+        # min t subject to t >= offset + slope . x for every cut, x in the box
+        G = np.array(slopes)
+        res = linprog(
+            np.eye(len(x) + 1)[-1],
+            A_ub=np.column_stack([G, -np.ones(len(G))]),
+            b_ub=-np.array(offsets),
+            bounds=[*map(tuple, box), (None, None)],
+            method="highs",
+        )
+        if not res.success:
+            break
+        # Weak duality: the dual-weighted cut's minimum over the box bounds
+        # the objective below, whatever HiGHS's tolerances.
+        w = np.maximum(-res.ineqlin.marginals, 0.0)
+        w /= w.sum()
+        c = w @ G
+        box_min = np.minimum(c * box[:, 0], c * box[:, 1]).sum()
+        lower = max(lower, float(w @ offsets + box_min))
+        if lower > -config.margin:
+            break
+        # HiGHS may leave a bound by its feasibility tolerance.
+        x = np.clip(res.x[:-1], box[:, 0], box[:, 1])
+    return best, trace, lower
+
+
+def _nelder_mead(system, profiles, embed, box, assignment, config):
+    """Multi-start Nelder-Mead over ``(d, log eta)`` clipped to the box.
+
+    For defective sources, where the objective is not convex in the dwell.
     """
     from scipy.optimize import minimize
 
-    if config is None:
-        config = SearchConfig()
-    layout = _block_layout(system)
-    profiles = _edge_profiles(system)
-    edges = system.graph.edges
-    dim = len(layout) + len(edges)
+    nd = embed.shape[2]
+    lo, hi = np.concatenate([box[:nd], np.log(box[nd:])]).T
+    # Restart 0 starts at d = 0 and unit dwells; restart 1 also leans
+    # against each block's expanding direction.
+    bias = np.zeros(len(box))
+    bias[:nd] = [-b.lam for dec in system.decompositions[1:] for b in dec.blocks]
+
+    def decode(x):
+        x = np.clip(x, lo, hi)
+        return np.concatenate([x[:nd], np.exp(x[nd:])])
 
     def objective(x):
-        return _worst_log_norm(profiles, *_decode(x, system, layout, config))
-
-    def start_point(restart, rng):
-        if restart == 0:
-            return np.zeros(dim)
-        if restart == 1:
-            # Bias against each vertex's expanding directions and start
-            # dwells at unit length.
-            x = np.zeros(dim)
-            x[: len(layout)] = [-block.lam for _, block in layout]
-            return x
-        lo_d, hi_d = config.log_diag_range
-        lo_e, hi_e = config.eta_range
-        x = np.empty(dim)
-        x[: len(layout)] = rng.uniform(lo_d, hi_d, size=len(layout))
-        x[len(layout) :] = rng.uniform(
-            math.log(lo_e), math.log(hi_e), size=len(edges)
-        )
-        return x
+        return _worst_edge(profiles, *assignment(decode(x)))[0]
 
     seeds = np.random.SeedSequence(config.seed).spawn(config.restarts)
-    best_x = None
-    best_obj = math.inf
-    trace = []
-    for restart in range(config.restarts):
-        rng = np.random.default_rng(seeds[restart])
+    best, trace = (math.inf, None), []
+    for restart, seed in enumerate(seeds):
+        if restart < 2:
+            start = restart * bias
+        else:
+            start = np.random.default_rng(seed).uniform(lo, hi)
         res = minimize(
             objective,
-            start_point(restart, rng),
+            start,
             method="Nelder-Mead",
             options={
                 "maxiter": config.max_iterations,
@@ -226,16 +285,12 @@ def search(system, config=None):
                 "fatol": 1e-10,
             },
         )
+        if res.fun < best[0]:
+            best = (float(res.fun), decode(res.x))
         trace.append(float(res.fun))
-        if res.fun < best_obj:
-            best_obj = float(res.fun)
-            best_x = res.x
-        if best_obj <= -config.margin:
+        if best[0] <= -config.margin:
             break
-    if best_obj <= -config.margin:
-        assignment = ScalingAssignment(*_decode(best_x, system, layout, config))
-        return SearchResult("feasible", assignment, best_obj, tuple(trace))
-    return SearchResult("infeasible-within-budget", None, best_obj, tuple(trace))
+    return best, trace, None
 
 
 def fold(system, assignment):

@@ -20,6 +20,7 @@ from switchcert import (
     SignalOutsideClass,
     SwitchingSignal,
     SwitchGraph,
+    TooManyLoops,
     analytic_e2_right_endpoint,
     assemble_jordan,
     certify,
@@ -27,6 +28,7 @@ from switchcert import (
     decay_envelope,
     decomposition_from_parts,
     defective_block,
+    determinant_flags,
     edge_norm,
     enumerate_simple_loops,
     feasible_interval,
@@ -38,6 +40,7 @@ from switchcert import (
     smallest_singular_value,
     spectral_norm,
     stable_edge_lower_bound,
+    trace_flags,
     transition_matrix,
 )
 
@@ -373,6 +376,32 @@ def test_necessary_checks_not_applicable_above_dimension_two():
     assert report.trace_flags == ()
 
 
+def test_determinant_flags_in_every_dimension(trace_ring_system, branched_system):
+    # traces 2 and 1 around the loop: the transition determinants telescope,
+    # so no dwells make both factors contract
+    g = SwitchGraph(2, [(1, 2), (2, 1)])
+    report = necessary_checks(make_system(g, [np.diag([1.0, 2.0, -1.0]), np.diag([2.0, 1.0, -2.0])]))
+    assert report.determinant_flags == (((1, 2, 1), (2.0, 1.0)),)
+    assert not report.ok
+    assert determinant_flags(g, [np.diag([1.0, 2.0, -4.0]), np.diag([2.0, 1.0, -2.0])]) == ()
+    # in the plane they are the trace flags
+    for system in (trace_ring_system, branched_system):
+        report = necessary_checks(system)
+        assert report.determinant_flags == report.trace_flags != ()
+
+
+def test_necessary_checks_past_max_loops(trace_ring_system):
+    # the ring has one simple loop: with none allowed the loops go unchecked
+    # in every dimension, while the planar trace test itself raises
+    graph, matrices = trace_ring_system.graph, trace_ring_system.subsystems
+    report = necessary_checks(trace_ring_system, max_loops=0)
+    assert report.determinant_flags is None
+    assert report.trace_flags == () and not report.trace_applicable
+    assert determinant_flags(graph, matrices, max_loops=0) is None
+    with pytest.raises(TooManyLoops):
+        trace_flags(graph, matrices, max_loops=0)
+
+
 # ---------------------------------------------------------------------------
 # loop budgets
 
@@ -405,6 +434,38 @@ def test_loop_budgets_three_ring(three_ring, three_ring_certificate):
     assert b.total_budget == pytest.approx(-(b.m_sum + b.n_sum) / 1.0, rel=1e-12)
     assert b.per_edge_budget == pytest.approx(b.total_budget, rel=1e-12)
     assert b.total_budget > 0
+
+
+def test_loop_budgets_bound_defective_e2_sources_by_the_log_norm():
+    # vertex 1 is a defective lambda = 0.1 block: norm(exp(J t)) grows like
+    # exp(mu t), mu = 0.1 + cos(pi / 3), far faster than exp(0.1 t)
+    g = SwitchGraph(2, [(1, 2), (2, 1)])
+    a1 = np.array([[0.1, 1.0], [0.0, 0.1]])
+    a2 = np.diag([-3.0, -2.0])
+    p1, p2 = np.eye(2), 2.0 * np.eye(2)
+    system = make_system(g, [a1, a2], [
+        decomposition_from_parts(p1, [defective_block(0.1, 2)], a1),
+        decomposition_from_parts(p2, [real_block(-3.0), real_block(-2.0)], a2),
+    ])
+    assert partition_edges(system) == {(1, 2): "E2", (2, 1): "E1"}
+    ((lo, hi),) = feasible_interval(system, (2, 1))
+    cert = certify(system, {(1, 2): 0.5, (2, 1): 0.5 * (lo + hi)})
+    (budget,) = loop_budgets(system, cert.intervals())
+    assert budget.lambda_max == pytest.approx(0.1 + math.cos(math.pi / 3), rel=1e-12)
+    assert budget.per_edge_budget == pytest.approx(-(budget.m_sum + budget.n_sum) / budget.lambda_max)
+
+    # dense oracle: up to the budget the E2 norm stays below exp(M + mu t),
+    # and a lap with that dwell and any stored E1 dwell does not expand
+    def factor(a, p_r, p_s, t):
+        return np.linalg.solve(p_s, scipy.linalg.expm(a * t) @ p_r)
+
+    for t in np.linspace(0.0, budget.per_edge_budget, 101):
+        norm = helpers.svd_spectral_norm(factor(a1, p1, p2, t))
+        assert math.log(norm) <= budget.m_sum + budget.lambda_max * t + 1e-12
+    lo, hi = cert.intervals()[(2, 1)]
+    e2 = factor(a1, p1, p2, budget.per_edge_budget)
+    for t in np.linspace(lo, hi, 101):
+        assert helpers.svd_spectral_norm(factor(a2, p2, p1, t) @ e2) <= 1.0 + 1e-12
 
 
 def test_loop_budgets_not_applicable_without_e2_edges():

@@ -325,6 +325,47 @@ def test_search_infeasible_within_budget(capsys, trace_doc):
     assert "document" not in payload
     # the necessary-condition report explains why this can never succeed
     assert payload["necessary"]["traceFlags"]
+    assert payload["necessary"]["determinantFlags"] == payload["necessary"]["traceFlags"]
+    # and the search's lower bound proves it
+    assert payload["lowerBound"] >= 0
+    assert payload["note"] == "proved: no rescaling in the search box satisfies every edge condition"
+
+
+def test_search_note_says_proved_only_for_a_proof(capsys, saddle_doc):
+    # one cut leaves the bound far below the margin: no proof
+    code, out, _ = run(capsys, ["search", saddle_doc, "--max-iterations", "1"])
+    assert code == 5
+    payload = report_of(out)["payload"]
+    assert payload["lowerBound"] < -1e-3
+    assert payload["note"].endswith("this is not a proof that none exists")
+    # rescalings exist, but none reaches a margin of 5
+    code, out, _ = run(capsys, ["search", saddle_doc, "--margin", "5"])
+    assert code == 5
+    payload = report_of(out)["payload"]
+    assert -5 < payload["lowerBound"] < 0
+    assert payload["note"] == "proved: no rescaling in the search box reaches the margin"
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_certify_and_search_with_too_many_loops(capsys, tmp_path, n):
+    # eight stable diagonal modes on the complete digraph: 16064 simple
+    # loops, past the 10000 that the determinant check lists
+    k = 8
+    doc = {
+        "schema_version": 1,
+        "matrices": [np.diag(-1.0 - 0.1 * i - np.arange(n)).tolist() for i in range(k)],
+        "edges": [[r, s] for r in range(1, k + 1) for s in range(1, k + 1) if r != s],
+    }
+    path = write_doc(tmp_path, doc)
+    code, out, _ = run(capsys, ["loops", path])
+    assert code == 2
+    assert "more than 10000 simple loops" in report_of(out)["payload"]["error"]
+    for command in ("certify", "search"):
+        code, out, _ = run(capsys, [command, path])
+        assert code == 0
+        necessary = report_of(out)["payload"]["necessary"]
+        assert necessary["determinantFlags"] is None
+        assert necessary["traceFlags"] == [] and not necessary["traceApplicable"]
 
 
 def test_search_deterministic(capsys, saddle_doc):

@@ -5,19 +5,26 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
+import scipy.optimize
 
 from switchcert import (
+    DEFECTIVE,
     InfeasibleAssignment,
     MissingInterval,
     ScalingAssignment,
     SearchConfig,
     SwitchGraph,
+    assemble_jordan,
     certify,
+    decomposition_from_parts,
+    defective_block,
     edge_norm,
     fold,
     identity_assignment,
     make_system,
     normalized_system,
+    real_block,
     scaled_objective,
     search,
     spectral_norm,
@@ -154,6 +161,7 @@ def test_search_finds_scaling_for_diagonal_ring(diagonal_ring_system):
     assert result.feasible
     assert result.status == "feasible"
     assert result.objective < 0
+    assert result.lower_bound <= result.objective
     asg = result.assignment
     assert scaled_objective(diagonal_ring_system, asg) == pytest.approx(
         result.objective, rel=1e-12
@@ -165,12 +173,17 @@ def test_search_finds_scaling_for_diagonal_ring(diagonal_ring_system):
     assert cert.contraction_k < 1
 
 
-def test_search_reports_infeasible_within_budget(trace_ring_system):
-    result = search(trace_ring_system, SearchConfig(restarts=8, seed=4))
-    assert not result.feasible
-    assert result.status == "infeasible-within-budget"
-    assert result.assignment is None
-    assert result.objective > 0
+def test_search_reports_infeasible_within_budget(trace_ring_system, branched_system):
+    # both have a loop of non-negative traces: the determinant cuts alone
+    # prove the objective >= 0 over the whole box
+    for system in (trace_ring_system, branched_system):
+        result = search(system, SearchConfig(restarts=8, seed=4))
+        assert not result.feasible
+        assert result.status == "infeasible-within-budget"
+        assert result.assignment is None
+        assert result.objective > 0
+        assert result.lower_bound >= 0.0
+        assert len(result.trace) <= 12
 
 
 def test_search_is_deterministic(diagonal_ring_system):
@@ -197,6 +210,120 @@ def test_search_early_stop_truncates_trace(diagonal_ring_system):
     # a feasible restart stops the sweep
     assert len(result.trace) < 64
     assert result.trace[-1] == pytest.approx(result.objective, rel=1e-12)
+
+
+def test_search_falls_back_to_nelder_mead_for_defective_sources():
+    # vertex 2 is one defective block; D_2 = c I and long dwells on (2, 1)
+    # contract both edges, but the objective is not convex in that dwell
+    g = SwitchGraph(2, [(1, 2), (2, 1)])
+    a2 = np.array([[-2.0, 1.0], [0.0, -2.0]])
+    system = make_system(
+        g, [np.diag([-1.0, 1.0]), a2],
+        [None, decomposition_from_parts(np.eye(2), [defective_block(-2.0, 2)], a2)],
+    )
+    result = search(normalized_system(system), SearchConfig(restarts=4, max_iterations=400))
+    assert result.feasible
+    assert result.lower_bound is None
+    assert 1 <= len(result.trace) <= 4
+    assert result.objective == pytest.approx(min(result.trace), rel=1e-12)
+    folded = fold(normalized_system(system), result.assignment)
+    assert certify(folded, result.assignment.etas).contraction_k < 1
+
+
+def _random_ring(rng, n, lam_range=(-2.0, 2.0), single_edge=False):
+    """Two vertices, random bases; vertex 1's blocks are never defective."""
+    while True:
+        blocks1 = helpers.random_blocks(rng, n, lam_range)
+        if all(b.kind != DEFECTIVE for b in blocks1):
+            break
+    blocks2 = [real_block(float(lam)) for lam in rng.uniform(*lam_range, n)]
+    mats, decs = [], []
+    for blocks in (blocks1, blocks2):
+        p = helpers.random_invertible(rng, n, min_smin=0.2)
+        a = p @ assemble_jordan(blocks) @ np.linalg.inv(p)
+        mats.append(a)
+        decs.append(decomposition_from_parts(p, blocks, a))
+    g = SwitchGraph(2, [(1, 2)] if single_edge else [(1, 2), (2, 1)])
+    return make_system(g, mats, decs), blocks1, blocks2
+
+
+def test_edge_log_norm_is_jointly_convex_in_log_diagonals_and_dwell(rng):
+    # log norm(D_2^-1 P_2^-1 P_1 D_1 exp(J_1 eta)), block-constant D, against
+    # dense expm + SVD, and midpoint convex in (d_1, d_2, eta)
+    for n in (2, 3, 4):
+        for _ in range(12):
+            system, blocks1, blocks2 = _random_ring(rng, n, single_edge=True)
+            p1, p2 = system.decomposition(1).P, system.decomposition(2).P
+
+            def point():
+                return (
+                    rng.uniform(-3.0, 3.0, len(blocks1)),
+                    rng.uniform(-3.0, 3.0, len(blocks2)),
+                    rng.uniform(0.01, 5.0),
+                )
+
+            def f(d1, d2, eta):
+                c1 = np.repeat(d1, [b.dim for b in blocks1])
+                c2 = np.repeat(d2, [b.dim for b in blocks2])
+                value = scaled_objective(system, ScalingAssignment((c1, c2), {(1, 2): eta}))
+                dense = np.diag(np.exp(-c2)) @ np.linalg.solve(
+                    p2, scipy.linalg.expm(system.subsystem(1) * eta) @ p1
+                ) @ np.diag(np.exp(c1))
+                assert value == pytest.approx(math.log(helpers.svd_spectral_norm(dense)), abs=1e-9)
+                return value
+
+            a, b = point(), point()
+            mid = tuple(0.5 * (x + y) for x, y in zip(a, b))
+            assert f(*mid) <= 0.5 * (f(*a) + f(*b)) + 1e-9
+
+
+def test_search_cuts_are_subgradients(monkeypatch, rng):
+    # Every cut the loop adds, read off the linear programs it solves, is
+    # the closed-form subgradient: it matches central differences of the
+    # objective where that is smooth and lies below it across the box.
+    programs = []
+    linprog = scipy.optimize.linprog
+
+    def spy(c, **kwargs):
+        res = linprog(c, **kwargs)
+        programs.append((kwargs["A_ub"], kwargs["b_ub"], res))
+        return res
+
+    monkeypatch.setattr(scipy.optimize, "linprog", spy)
+    checked = 0
+    for n in (2, 3):
+        for _ in range(6):
+            system = normalized_system(_random_ring(rng, n, (-1.5, 0.8))[0])
+            dims = [b.dim for b in system.decomposition(2).blocks]
+            nd = len(dims)
+            config = SearchConfig(
+                max_iterations=5,
+                eta_range=(rng.uniform(0.01, 1.0), rng.uniform(4.0, 20.0)),
+                log_diag_range=(rng.uniform(-6.0, -1.0), rng.uniform(1.0, 6.0)),
+            )
+            box = np.array([config.log_diag_range] * nd + [config.eta_range] * 2)
+
+            def f(x):
+                diags = (np.zeros(n), np.repeat(x[:nd], dims))
+                return scaled_objective(system, ScalingAssignment(diags, {(1, 2): x[nd], (2, 1): x[nd + 1]}))
+
+            programs.clear()
+            search(system, config)
+            x = box.mean(axis=1)
+            for j, (A, b, res) in enumerate(programs):
+                grad, offset = A[1 + j, :-1], -b[1 + j]  # row 0: the loop's determinant cut
+                assert f(x) == pytest.approx(offset + grad @ x, abs=1e-9)
+                for i in range(len(x)):
+                    h = 1e-6 * max(1.0, abs(x[i]))
+                    step = np.eye(len(x))[i] * h
+                    fwd, bwd = (f(x + step) - f(x)) / h, (f(x) - f(x - step)) / h
+                    if abs(fwd - bwd) < 1e-4 * (1.0 + abs(fwd)):
+                        assert grad[i] == pytest.approx(0.5 * (fwd + bwd), rel=1e-4, abs=1e-4)
+                        checked += 1
+                for y in rng.uniform(box[:, 0], box[:, 1], (10, len(x))):
+                    assert f(y) >= offset + grad @ (y - x) + grad @ x - 1e-9 * (1.0 + abs(f(y)))
+                x = np.clip(res.x[:-1], box[:, 0], box[:, 1])
+    assert checked >= 80
 
 
 def test_search_respects_margin(diagonal_ring_system):
