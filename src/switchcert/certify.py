@@ -18,14 +18,18 @@ Every dwell scan goes through one profile ``t -> norm(X exp(J t))``. Without
 a defective block ``exp(J t)`` is ``diag(exp(lam t))`` times a rotation, so
 the profile is log-convex: its feasible set is one interval and its
 supremum over an interval is an endpoint value. Defective sources are sampled.
-Each grid of dwells is evaluated as one stack; bisections, polishes and
-endpoint values take one dwell at a time.
+Each grid of dwells is evaluated as one stack. A crossing of norm 1 is found
+from the samples that bracket it by safeguarded secant (Illinois) steps on
+the log norm, one dwell at a time. A non-defective edge's interval is found
+once per system and scan setting, and :func:`feasible_interval` and
+:func:`certify` share it.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -52,6 +56,15 @@ _PARTITION_TOL = 1e-12
 #: Dwells per stacked profile evaluation; bounds the memory of fine grids.
 _STACK = 4096
 
+#: A minorant of the log norm this close to 0 still proves an edge
+#: infeasible: the rounding of the log norm, so a profile touching 1 has no
+#: feasible dwell.
+_LOG_SLACK = 1e-12
+
+#: Profile evaluations the minimum search may spend; an overflowed grid
+#: needs about 100 of them at t_max = 1e300.
+_SEARCH_CAP = 200
+
 
 @dataclass(frozen=True)
 class SwitchedSystem:
@@ -60,6 +73,9 @@ class SwitchedSystem:
     graph: object
     subsystems: tuple
     decompositions: tuple
+    # Feasible components of non-defective edges by (edge, t_max, refine_tol);
+    # they depend on the read-only arrays alone, so a result is never stale.
+    _components: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         k = self.graph.vertex_count
@@ -159,9 +175,9 @@ class _Profile:
             out[i : i + _STACK] = np.where(np.isnan(vals), math.inf, vals)
         return out
 
-    def log(self, t, X):
-        """``log norm(X exp(J t))`` for ``X``, e.g. the profile's own ``X`` rescaled."""
-        norm = self._shifted(t, X)
+    def log(self, t, X=None):
+        """``log norm(X exp(J t))``, finite for finite ``t``; ``X`` defaults to the profile's own."""
+        norm = self._shifted(t, self.X if X is None else X)
         # Only an X that underflowed to zero gives a zero norm.
         return self.lam * t + math.log(norm) if norm > 0.0 else -math.inf
 
@@ -204,114 +220,221 @@ def partition_edges(system):
     return out
 
 
-def _sup_scan(fn, lo, hi, samples):
-    """(max, argmax) of a continuous function over [lo, hi]: grid + polish.
+def _sup(profile, lo, hi, samples):
+    """Supremum over [lo, hi]: exact if log-convex, else sampled + polished.
 
-    ``fn`` takes a scalar or a 1-D array of dwells; the ``samples``-point
-    grid is one array call.
+    Without log-convexity the ``samples``-point grid is one array call, and
+    a ternary search with scalar calls refines its best point between its
+    two neighbours.
     """
+    if profile.convex:
+        return max(profile(lo), profile(hi))
     if hi <= lo:
-        return float(fn(hi)), hi
+        return float(profile(hi))
     ts = np.linspace(lo, hi, samples)
-    return _polish(fn, ts, fn(ts))
-
-
-def _polish(fn, ts, vals):
-    """(max, argmax) of ``fn`` from its values on the grid ``ts``.
-
-    A ternary search with scalar calls refines the best grid point between
-    its two neighbours.
-    """
+    vals = profile(ts)
     i = int(np.argmax(vals))
-    best, arg = float(vals[i]), float(ts[i])
+    best = float(vals[i])
     a, b = ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)]
     for _ in range(80):
         if b - a < 1e-12:
             break
         m1 = a + (b - a) / 3.0
         m2 = b - (b - a) / 3.0
-        f1, f2 = fn(m1), fn(m2)
-        best, arg = max((best, arg), (float(f1), m1), (float(f2), m2))
+        f1, f2 = profile(m1), profile(m2)
+        best = max(best, float(f1), float(f2))
         if f1 < f2:
             a = m1
         else:
             b = m2
-    return best, arg
+    return best
 
 
-def _sup(profile, lo, hi, samples):
-    """Supremum over [lo, hi]: exact if log-convex, else sampled + polished."""
-    if profile.convex:
-        return max(profile(lo), profile(hi))
-    return _sup_scan(profile, lo, hi, samples)[0]
+def _log_norms(profile, t):
+    """``log profile(t)`` for a dwell or an array: inf past the float range, -inf at norm 0."""
+    with np.errstate(divide="ignore"):
+        return np.log(profile(t))
 
 
-def _bisect_crossing(fn_feasible, t_out, t_in, tol):
-    """Locate the boundary between an infeasible and a feasible point."""
-    for _ in range(200):
-        if abs(t_in - t_out) <= tol:
-            break
-        mid = 0.5 * (t_out + t_in)
-        if fn_feasible(mid):
-            t_in = mid
-        else:
-            t_out = mid
-    return 0.5 * (t_out + t_in)
+def _secant_crossing(log, t_out, f_out, t_in, f_in, tol):
+    """Locate the crossing of ``log`` through 0 between ``t_out`` and ``t_in``.
 
-
-def _crossings(profile, lo_out, lo_in, hi_in, hi_out, t_max, refine_tol):
-    """Endpoints of the feasible run [lo_in, hi_in] between infeasible lo_out and hi_out.
-
-    ``lo_out`` = 0 and ``hi_out`` = t_max stand for the ends of the scan,
-    which are endpoints themselves when the profile is < 1 there.
+    ``f_out = log(t_out) >= 0 > f_in = log(t_in)``; an end value that is not
+    finite (a grid value past the float range) is evaluated again with the
+    overflow-safe ``log``. Illinois steps: regula falsi on the bracket, with
+    the value of an end kept twice in a row halved, and never closer than
+    ``tol / 2`` (or one float) to an end, so a converged end closes the
+    bracket in one more step. When two steps in a row fail to halve the
+    bracket the next is a plain bisection. Returns the midpoint of a bracket
+    whose ends were both evaluated and which is no wider than ``tol``, or,
+    where floats are sparser than ``tol``, has no float between its ends.
     """
+    if not math.isfinite(f_out):
+        f_out = log(t_out)
+    if not math.isfinite(f_in):
+        f_in = log(t_in)
+    g_out, g_in = f_out, f_in
+    kept = None
+    width, last, before = abs(t_in - t_out), math.inf, math.inf
+    while width > tol:
+        lo, hi = min(t_in, t_out), max(t_in, t_out)
+        t = lo + 0.5 * width
+        if not lo < t < hi:
+            break
+        if width <= 0.5 * before:
+            step = t_in + g_in * (t_out - t_in) / (g_in - g_out)
+            # at least one float inside each end: tol / 2 may round away
+            step = max(step, lo + 0.5 * tol, math.nextafter(lo, hi))
+            step = min(step, hi - 0.5 * tol, math.nextafter(hi, lo))
+            if lo < step < hi:  # not NaN
+                t = step
+        f = log(t)
+        if f < 0.0:
+            t_in, g_in = t, f
+            if kept == "out":
+                g_out *= 0.5
+            kept = "out"
+        else:
+            t_out, g_out = t, f
+            if kept == "in":
+                g_in *= 0.5
+            kept = "in"
+        width, last, before = abs(t_in - t_out), width, last
+    return min(t_in, t_out) + 0.5 * width
 
-    def feasible(t):
-        return profile(t) < 1.0
 
-    if lo_out == 0.0 and feasible(0.0):
-        lo = 0.0
-    else:
-        lo = _bisect_crossing(feasible, lo_out, lo_in, refine_tol)
-    if hi_out == t_max and feasible(t_max):
-        hi = t_max
-    else:
-        hi = _bisect_crossing(feasible, hi_out, hi_in, refine_tol)
-    return lo, hi
+def _run_ends(profile, ts, fs, j, k, tol):
+    """Ends of the feasible run ``ts[j..k]`` of sorted samples with log norms ``fs``.
+
+    Each end is the crossing between the run and its infeasible neighbour,
+    or the first or last sample itself (0 or t_max) when the run reaches it.
+    """
+    lo = ts[j] if j == 0 else _secant_crossing(profile.log, ts[j - 1], fs[j - 1], ts[j], fs[j], tol)
+    last = len(ts) - 1
+    hi = ts[k] if k == last else _secant_crossing(profile.log, ts[k + 1], fs[k + 1], ts[k], fs[k], tol)
+    return float(lo), float(hi)
 
 
-def _leading_run(mask):
-    """Number of leading True entries of a boolean array."""
-    return len(mask) if mask.all() else int(np.argmin(mask))
+def _run_around(fs, i):
+    """``(j, k)``: the run of negative ``fs`` around index ``i``."""
+    j = k = i
+    while j > 0 and fs[j - 1] < 0.0:
+        j -= 1
+    while k < len(fs) - 1 and fs[k + 1] < 0.0:
+        k += 1
+    return j, k
 
 
 def _component_around(profile, eta, t_max, step, refine_tol):
-    """Maximal interval around a feasible dwell ``eta`` where the profile is < 1.
+    """Maximal interval around a feasible dwell ``eta`` where a defective-source profile is < 1.
 
-    Log-convex: one bisection on (0, eta] and one on [eta, t_max].
-    Otherwise the dwells ``eta -+ k step`` inside (0, t_max] are evaluated
-    in one array call, and each side's bisection starts from its first
-    infeasible dwell, as a walk out from eta would.
+    The dwells ``eta -+ k step`` inside (0, t_max], with 0 and t_max, are
+    evaluated in one array call, and each side's crossing is bracketed by
+    the run of feasible dwells around eta and its first infeasible dwell, as
+    a walk out from eta would.
     """
-    lo_in = hi_in = eta
-    lo_out, hi_out = 0.0, t_max
-    if not profile.convex:
-        left = eta - step * np.arange(1, int(eta / step) + 1)
-        left = left[left > 0.0]
-        right = eta + step * np.arange(1, int((t_max - eta) / step) + 1)
-        right = right[right <= t_max]
-        feasible = profile(np.concatenate([left, right])) < 1.0
-        k_lo = _leading_run(feasible[: len(left)])
-        k_hi = _leading_run(feasible[len(left) :])
-        if k_lo:
-            lo_in = float(left[k_lo - 1])
-        if k_lo < len(left):
-            lo_out = float(left[k_lo])
-        if k_hi:
-            hi_in = float(right[k_hi - 1])
-        if k_hi < len(right):
-            hi_out = float(right[k_hi])
-    return _crossings(profile, lo_out, lo_in, hi_in, hi_out, t_max, refine_tol)
+    left = eta - step * np.arange(int(eta / step), 0, -1)
+    right = eta + step * np.arange(1, int((t_max - eta) / step) + 1)
+    ts = np.concatenate([[0.0], left[left > 0.0], [eta], right[right <= t_max], [t_max]])
+    fs = _log_norms(profile, ts)
+    j, k = _run_around(fs, int(np.searchsorted(ts, eta)))
+    return _run_ends(profile, ts, fs, j, k, refine_tol)
+
+
+def _cell_bound(ts, fs, c):
+    """``(bound, t)`` for the cell ``[ts[c], ts[c + 1]]`` of a log-convex profile's samples.
+
+    ``bound`` is a lower bound on the log norm over the cell, and ``t`` the
+    dwell to evaluate next (None if the cell has no float inside). By
+    convexity the secant of the two samples left of the cell, extended to the
+    right, and that of the two samples right of it, extended to the left,
+    lie below the log norm; with both, ``t`` is where they meet. A value is
+    inf where ``exp(lam_max t)`` or the norm overflows: on a suffix of the
+    samples, where the norm (at least ``smin(X) exp(lam_max t)``) is above
+    1. So a cell that begins overflowed has no feasible dwell, and a secant
+    through an overflowed value gives no bound. A cell with fewer than two
+    secants is split geometrically, which reaches small dwells fast from an
+    overflowed end; with none it has no bound.
+    """
+    a, b, fa, fb = ts[c], ts[c + 1], fs[c], fs[c + 1]
+    if fa == math.inf:
+        return math.inf, None
+    w = b - a
+    left = right = None
+    if c > 0:
+        left = (fa - fs[c - 1]) / (a - ts[c - 1])
+    if c + 2 < len(ts) and fs[c + 2] < math.inf:
+        right = (fs[c + 2] - fb) / (ts[c + 2] - b)
+    t = math.sqrt(a) * math.sqrt(b) if a > 0.0 else b / 1024.0
+    if left is not None and right is not None:
+        if right > left:
+            d = w * (right - (fb - fa) / w) / (right - left)
+            if 0.0 < d < w:
+                return fa + left * d, a + d
+        bound = min(max(fa, fb - right * w), max(fa + left * w, fb))
+        t = a + 0.5 * w
+    elif left is not None:
+        bound = min(fa, fa + left * w)
+    elif right is not None:
+        bound = min(fb - right * w, fb)
+    else:
+        bound = -math.inf
+    if not a < t < b:
+        return min(fa, fb), None
+    return bound, t
+
+
+def _minimum_search(profile, ts, fs, i, t_max):
+    """Index of a feasible dwell added to the sorted samples ``ts``, ``fs``, or None.
+
+    No sample is feasible and ``ts[i]`` is the best, so by log-convexity a
+    feasible dwell can only lie in ``[ts[i - 1], ts[i + 1]]``. Each step
+    evaluates the split point of the cell there with the lowest
+    :func:`_cell_bound`. The search stops at the first feasible dwell, or
+    returns None once every bound is at least ``-_LOG_SLACK``: then no dwell
+    up to ``t_max`` has norm < 1, up to rounding.
+    """
+    lo, hi = ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)]
+    for _ in range(_SEARCH_CAP):
+        cells = range(bisect.bisect_left(ts, lo), bisect.bisect_left(ts, hi))
+        bound, t = min((_cell_bound(ts, fs, c) for c in cells), key=lambda cell: cell[0])
+        if bound >= -_LOG_SLACK:
+            return None
+        f = float(_log_norms(profile, t))
+        j = bisect.bisect(ts, t)
+        ts.insert(j, t)
+        fs.insert(j, f)
+        if f < 0.0:
+            return j
+    raise ValueError(
+        f"no feasible dwell found, and none ruled out, up to t_max = {t_max!r} "
+        f"in {_SEARCH_CAP} evaluations"
+    )
+
+
+def _convex_component(profile, t_max, refine_tol):
+    """``(lo, hi)`` of a log-convex profile's one feasible interval, or None if it has none.
+
+    The seed is the best dwell of a 64-dwell grid, or the first feasible
+    dwell of :func:`_minimum_search` when no grid dwell is feasible; each
+    crossing is bracketed by the feasible samples and their neighbours.
+    """
+    ts = np.linspace(0.0, t_max, 64)
+    ts, fs = ts.tolist(), _log_norms(profile, ts).tolist()
+    i = int(np.argmin(fs))
+    if not fs[i] < 0.0:
+        i = _minimum_search(profile, ts, fs, i, t_max)
+        if i is None:
+            return None
+    return _run_ends(profile, ts, fs, *_run_around(fs, i), refine_tol)
+
+
+def _component(system, edge, profile, t_max, refine_tol):
+    """:func:`_convex_component` of a non-defective edge, computed once per system."""
+    key = (tuple(edge), t_max, refine_tol)
+    if key not in system._components:
+        system._components[key] = _convex_component(profile, t_max, refine_tol)
+    return system._components[key]
 
 
 def _scan_settings(t_max, grid_points, refine_tol):
@@ -330,37 +453,38 @@ def feasible_interval(system, edge, t_max=50.0, grid_points=2048, refine_tol=1e-
     """Maximal open sub-intervals of (0, t_max] where the edge norm is < 1.
 
     The left endpoint is reported as 0 when the norm is already below 1 in
-    the small-dwell limit (E2 edges). Without a defective source block there
-    is at most one interval, and ``grid_points`` is unused: any dwell with
-    norm < 1 lies in it, so the best point of a 64-dwell grid seeds the
-    two bisections, and a ternary polish of the grid's minimum runs only
-    when no grid dwell is feasible. A defective source is scanned on a grid
-    of ``grid_points`` steps, and each run of feasible grid dwells is
-    bisected out to its infeasible neighbours; there an empty list means no
-    feasible dwell was found up to ``t_max`` at this grid resolution.
+    the small-dwell limit (E2 edges). Every other endpoint is a crossing of
+    norm 1: the midpoint of a bracket no wider than ``refine_tol`` (or,
+    where floats are sparser than that, with no float inside), narrowed
+    from the samples on either side by safeguarded secant (Illinois) steps
+    on the log norm.
+
+    Without a defective source block the log norm is convex, so there is at
+    most one interval and ``grid_points`` is unused. The best dwell of a
+    64-dwell grid seeds it. When no grid dwell is feasible, a search refines
+    the grid's minimum, evaluating where the secants of neighbouring samples
+    meet: they bound the log norm from below. It stops at the first feasible
+    dwell, or when the bound reaches 0; then ``[]`` is a proof that no dwell
+    up to ``t_max`` has norm < 1 (up to a relative 1e-12 of rounding). A
+    search that reaches neither within its evaluation cap raises ValueError.
+    The interval is found once per system, edge, ``t_max`` and
+    ``refine_tol``, and :func:`certify` reads the same one.
+
+    A defective source is scanned on a grid of ``grid_points`` steps, and
+    each run of feasible grid dwells is bracketed by its infeasible
+    neighbours; there an empty list means no feasible dwell was found up to
+    ``t_max`` at this grid resolution.
     """
     t_max, grid_points, refine_tol = _scan_settings(t_max, grid_points, refine_tol)
     profile = _edge_profile(system, edge)
     if profile.convex:
-        ts = np.linspace(0.0, t_max, 64)
-        vals = profile(ts)
-        i = int(np.argmin(vals))
-        seed = ts[i]
-        if not vals[i] < 1.0:
-            neg_min, seed = _polish(lambda t: -profile(t), ts, -vals)
-            if not -neg_min < 1.0:
-                return []
-        return [_component_around(profile, float(seed), t_max, t_max / grid_points, refine_tol)]
+        comp = _component(system, edge, profile, t_max, refine_tol)
+        return [] if comp is None else [comp]
     ts = np.linspace(0.0, t_max, grid_points + 1)
-    mask = profile(ts) < 1.0
-    bounds = np.flatnonzero(np.diff(np.concatenate([[False], mask, [False]])))
+    fs = _log_norms(profile, ts)
+    bounds = np.flatnonzero(np.diff(np.concatenate([[False], fs < 0.0, [False]])))
     return [
-        _crossings(
-            profile,
-            float(ts[i - 1]) if i > 0 else 0.0, float(ts[i]), float(ts[j - 1]),
-            float(ts[j]) if j <= grid_points else t_max,
-            t_max, refine_tol,
-        )
+        _run_ends(profile, ts, fs, i, j - 1, refine_tol)
         for i, j in zip(bounds[::2], bounds[1::2])
     ]
 
@@ -428,6 +552,15 @@ def certify(system, etas, t_max=50.0, grid_points=2048, refine_tol=1e-9, shrink=
     stays strictly below 1. The scan settings are checked as in
     :func:`feasible_interval`.
 
+    Without a defective source block the component is the one interval
+    :func:`feasible_interval` returns for the same ``t_max`` and
+    ``refine_tol``, found once per system and shared; the witness only has
+    to lie in it, so a certificate after a scan evaluates no crossing again
+    (and a scan that fails raises its ValueError here too). Around a defective source the component is found from the witness:
+    dwells ``t_max / grid_points`` apart on each side of it are scanned out
+    to the first infeasible one, and each crossing is found by secant steps
+    as in :func:`feasible_interval`.
+
     The amplification constant C is the largest value of
     ``norm(P_s exp(J_s t)) * norm(P_r^-1)`` over vertex pairs (r, s) with s
     reachable from r (or equal to it) and dwells t in the stored intervals
@@ -459,7 +592,12 @@ def certify(system, etas, t_max=50.0, grid_points=2048, refine_tol=1e-9, shrink=
     for e in edges:
         eta = float(etas[e])
         profile = _edge_profile(system, e)
-        lo, hi = _component_around(profile, eta, t_max, step, refine_tol)
+        if profile.convex:
+            # eta is feasible, so only rounding at a crossing puts it outside
+            lo, hi = _component(system, e, profile, t_max, refine_tol) or (eta, eta)
+            lo, hi = min(lo, eta), max(hi, eta)
+        else:
+            lo, hi = _component_around(profile, eta, t_max, step, refine_tol)
         delta = shrink * (hi - lo)
         if lo > 0.0:
             lo = min(lo + delta, 0.5 * (lo + eta))

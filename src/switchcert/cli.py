@@ -534,7 +534,10 @@ def cmd_certify(args):
                 args.pretty,
             )
     else:
-        etas, infeasible = _auto_etas(system, args.tmax, args.grid)
+        try:
+            etas, infeasible = _auto_etas(system, args.tmax, args.grid)
+        except ValueError as exc:
+            return _emit("certify", "error", {"error": str(exc)}, digest, args.pretty)
         if infeasible:
             payload = {
                 "infeasibleEdges": [list(e) for e in infeasible],
@@ -742,7 +745,7 @@ def cmd_simulate(args):
             certificate = run_certify(
                 system, etas, t_max=args.tmax, grid_points=args.grid
             )
-        except (ConditionViolated, SwitchCertError):
+        except (ConditionViolated, SwitchCertError, ValueError):
             warnings.append("system is not certified; simulation is illustrative only")
 
     norms = trajectory.norms()

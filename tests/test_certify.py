@@ -8,6 +8,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.linalg
+import scipy.optimize
 
 from switchcert import matrixcore
 from switchcert import (
@@ -658,7 +659,9 @@ def test_defective_source_through_feasible_interval_and_certify():
     assert cert.amplification_c >= _dense_amplification(system, cert.intervals()) * (1.0 - 1e-9)
 
 
-def test_certify_evaluates_few_norms(monkeypatch, prescribed_ring):
+def test_certify_evaluates_few_norms(monkeypatch):
+    # a fresh system: no interval is known yet, so certify finds both
+    system = helpers.prescribed_basis_ring()["system"]
     calls = [0]
     norm = matrixcore.spectral_norm
 
@@ -667,40 +670,60 @@ def test_certify_evaluates_few_norms(monkeypatch, prescribed_ring):
         return norm(M)
 
     monkeypatch.setattr(matrixcore, "spectral_norm", counted)
-    certify(prescribed_ring["system"], {(1, 2): 2.5, (2, 1): 1.75})
-    assert 0 < calls[0] <= 300
+    certify(system, {(1, 2): 2.5, (2, 1): 1.75})
+    assert 0 < calls[0] <= 80
 
 
-def _count_scalar_norms(monkeypatch):
-    """Count ``spectral_norm`` calls on one matrix; stacked calls are not counted."""
+def _count_scalar_norms(monkeypatch, limit=math.inf):
+    """Count ``spectral_norm`` calls on one matrix; stacked calls are not counted.
+
+    A call past ``limit`` fails the test, so a loop that never ends does too.
+    """
     calls = [0]
     norm = matrixcore.spectral_norm
 
     def counted(M):
         calls[0] += np.ndim(M) == 2
+        assert calls[0] <= limit, f"more than {limit} scalar norm calls"
         return norm(M)
 
     monkeypatch.setattr(matrixcore, "spectral_norm", counted)
     return calls
 
 
-def test_feasible_interval_evaluates_few_norms(monkeypatch, prescribed_ring):
-    # a feasible point of the stacked 64-dwell grid seeds both bisections
+def test_feasible_interval_evaluates_few_norms(monkeypatch):
+    # the stacked 64-dwell grid brackets each crossing within one grid
+    # step, and secant steps on the log norm close each bracket
+    system = helpers.prescribed_basis_ring()["system"]
     calls = _count_scalar_norms(monkeypatch)
-    system = prescribed_ring["system"]
     for edge in system.graph.edges:
         assert len(feasible_interval(system, edge)) == 1
-    assert 0 < calls[0] <= 200
+    assert 0 < calls[0] <= 60
+
+
+def test_certify_after_scan_evaluates_few_norms(monkeypatch):
+    # certify reads the intervals the scan found: it evaluates the
+    # witnesses and the suprema, and no crossing again
+    system = helpers.prescribed_basis_ring()["system"]
+    calls = _count_scalar_norms(monkeypatch)
+    etas = {}
+    for edge in system.graph.edges:
+        ((lo, hi),) = feasible_interval(system, edge)
+        etas[edge] = 0.5 * (lo + hi)
+    scan = calls[0]
+    certify(system, etas)
+    assert 0 < calls[0] - scan <= 20
+    assert calls[0] <= 80
 
 
 def test_defective_scan_evaluates_few_scalar_norms(monkeypatch):
-    # the grid is one stacked call; only the crossings' bisections are
-    # scalar (26 calls here, against 4034 for a dwell-by-dwell scan)
+    # the grid is one stacked call; only the crossings' secant steps are
+    # scalar (against 4034 calls for a dwell-by-dwell scan)
     blocks = [[defective_block(-1.0, 2)], [real_block(-0.5), real_block(-3.0)]]
     system = _ring_system(blocks, np.random.default_rng(7))
     calls = _count_scalar_norms(monkeypatch)
     assert feasible_interval(system, (1, 2))
-    assert 0 < calls[0] <= 60
+    assert 0 < calls[0] <= 20
 
 
 def test_stacked_profile_matches_scalar_calls():
@@ -743,3 +766,116 @@ def test_edge_norm_overflow_is_infinite():
         assert edge_norm(system, (2, 1), 50.0) < 1e-10
         stacked = certify_module._edge_profile(system, (1, 2))(np.array([1.0, 40.0, 50.0]))
         assert math.isfinite(stacked[0]) and list(stacked[1:]) == [math.inf, math.inf]
+
+
+def test_feasible_interval_at_large_t_max():
+    # from t_max = 400 no dwell of the 64-dwell grid is feasible, and past
+    # t_max ~ 3500 every grid dwell but 0 overflows; the minimum search
+    # splits the overflowed cell geometrically until it finds the window
+    ref = helpers.prescribed_basis_ring()["system"]
+    expected = {e: feasible_interval(ref, e) for e in ref.graph.edges}
+    etas = {e: 0.5 * (lo + hi) for e, ((lo, hi),) in expected.items()}
+    for t_max in (400.0, 1e4, 1e16, 1e20, 1e100, 1e300):
+        system = helpers.prescribed_basis_ring()["system"]
+        for edge in system.graph.edges:
+            ((lo, hi),) = feasible_interval(system, edge, t_max=t_max)
+            ((lo_ref, hi_ref),) = expected[edge]
+            assert abs(lo - lo_ref) <= 2e-9 and abs(hi - hi_ref) <= 2e-9
+        assert certify(system, etas, t_max=t_max).contraction_k < 1.0
+
+
+def _prescribed_ring_slowed(factor):
+    """:func:`helpers.prescribed_basis_ring` with every eigenvalue times ``factor``.
+
+    The eigenbases are kept, so each dwell window is the original one over
+    ``factor``.
+    """
+    system = helpers.prescribed_basis_ring()["system"]
+    decs = [
+        decomposition_from_parts(dec.P, [real_block(b.lam * factor) for b in dec.blocks], a * factor)
+        for dec, a in zip(system.decompositions, system.subsystems)
+    ]
+    return make_system(system.graph, [a * factor for a in system.subsystems], decs)
+
+
+def test_crossings_end_where_floats_are_sparser_than_refine_tol(monkeypatch):
+    # past 2**23 one float step exceeds the default refine_tol of 1e-9, and
+    # near 0.94 one exceeds 1e-17: a crossing then ends on a bracket with no
+    # float inside, and every scan and certificate returns
+    calls = _count_scalar_norms(monkeypatch, limit=1000)
+    exact = helpers.prescribed_basis_ring()["system"]
+    default = helpers.prescribed_basis_ring()["system"]
+    slowed = _prescribed_ring_slowed(1e-7)
+    for edge in exact.graph.edges:
+        ((lo, hi),) = feasible_interval(exact, edge, refine_tol=1e-17)
+        ((lo_ref, hi_ref),) = feasible_interval(default, edge)
+        assert abs(lo - lo_ref) <= 2e-9 and abs(hi - hi_ref) <= 2e-9
+        ((lo_slow, hi_slow),) = feasible_interval(slowed, edge, t_max=1e9)
+        assert 2**23 < hi_slow < 1e9
+        npt.assert_allclose([lo_slow, hi_slow], [1e7 * lo, 1e7 * hi], rtol=1e-12)
+    etas = {(1, 2): 2.5, (2, 1): 1.75}
+    assert certify(exact, etas, refine_tol=1e-17).contraction_k < 1.0
+    slow_etas = {e: 1e7 * eta for e, eta in etas.items()}
+    assert certify(slowed, slow_etas, t_max=1e9).contraction_k < 1.0
+    assert calls[0] > 0
+
+
+def test_minimum_search_cap_raises(monkeypatch):
+    # a search that neither finds a feasible dwell nor proves there is none
+    # fails loudly instead of returning []
+    monkeypatch.setattr(certify_module, "_SEARCH_CAP", 2)
+    system = helpers.prescribed_basis_ring()["system"]
+    with pytest.raises(ValueError, match="t_max = 1e\\+20"):
+        feasible_interval(system, (1, 2), t_max=1e20)
+
+
+def test_interval_memo_is_invisible():
+    defective = [[defective_block(-1.0, 2)], [real_block(-0.5), real_block(-3.0)]]
+    builders = [
+        lambda: helpers.prescribed_basis_ring()["system"],
+        lambda: helpers.three_ring_prescribed()["system"],
+        lambda: _ring_system(defective, np.random.default_rng(7)),
+    ]
+    for build in builders:
+        system = build()
+        etas = {}
+        for edge in system.graph.edges:
+            lo, hi = max(feasible_interval(system, edge), key=lambda c: c[1] - c[0])
+            etas[edge] = 0.5 * (lo + hi)
+        fresh = certify(build(), etas)
+        scanned = build()
+        for edge in scanned.graph.edges:
+            feasible_interval(scanned, edge)
+        other = build()
+        certify(other, etas, t_max=80.0, refine_tol=1e-6)
+        assert certify(scanned, etas) == fresh
+        assert certify(other, etas) == fresh
+        assert "_components" not in repr(other)
+
+
+def test_crossings_match_a_dense_oracle():
+    # every crossing lies within 2e-9 of a root of the dense-expm edge norm
+    rng = np.random.default_rng(20261018)
+    checked = 0
+    for trial in range(30):
+        n = 2 + trial % 3
+        blocks = []
+        for _ in range(2):
+            draw = helpers.random_blocks(rng, n, (-2.0, 1.0))
+            while any(b.kind == "defective-real" for b in draw):
+                draw = helpers.random_blocks(rng, n, (-2.0, 1.0))
+            blocks.append(draw)
+        system = _ring_system(blocks, rng)
+        for edge in system.graph.edges:
+            for lo, hi in feasible_interval(system, edge, t_max=20.0):
+                for t in (lo, hi):
+                    if t in (0.0, 20.0):
+                        continue
+
+                    def excess(s):
+                        return _dense_edge_norms(system, edge, [s])[0] - 1.0
+
+                    root = scipy.optimize.brentq(excess, t - 1e-6, t + 1e-6, xtol=1e-14)
+                    assert abs(t - root) <= 2e-9
+                    checked += 1
+    assert checked >= 20

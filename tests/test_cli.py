@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import subprocess
@@ -243,6 +244,27 @@ def test_certify_violated_auto_mode(capsys, saddle_doc):
     infeasible = {tuple(e) for e in report["payload"]["infeasibleEdges"]}
     assert infeasible == {(1, 2), (2, 1)}
     assert "necessary" in report["payload"]
+
+
+def test_certify_auto_mode_at_large_tmax(capsys, prescribed_doc, monkeypatch):
+    # every grid dwell but 0 overflows at this horizon; the windows are
+    # still found, and a scan that can neither find nor rule one out is an
+    # error, not "violated"
+    code, out, _ = run(capsys, ["certify", prescribed_doc, "--tmax", "1e20"])
+    assert code == 0
+    assert report_of(out)["status"] == "ok"
+    monkeypatch.setattr(importlib.import_module("switchcert.certify"), "_SEARCH_CAP", 2)
+    code, out, _ = run(capsys, ["certify", prescribed_doc, "--tmax", "1e20"])
+    assert code == 2
+    report = report_of(out)
+    assert report["status"] == "error"
+    assert "t_max" in report["payload"]["error"]
+    # simulate still runs the document's signal, but cannot certify it
+    code, out, _ = run(capsys, ["simulate", prescribed_doc, "--x0", "5,-2", "--tmax", "1e20"])
+    assert code == 0
+    report = report_of(out)
+    assert report["payload"]["envelopeSatisfied"] is None
+    assert any("not certified" in w for w in report["payload"]["warnings"])
 
 
 # ---------------------------------------------------------------------------
